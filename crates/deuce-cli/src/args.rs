@@ -82,16 +82,18 @@ SERVING:
   serve stands up a sharded multi-tenant encrypted-memory service:
   --tenants isolated key domains (per-tenant key seed, line store, and
   counter cache), --shards worker threads each draining a bounded queue
-  of --queue-depth requests. Each tenant's request stream is generated
+  of --queue-depth requests. Each tenant is served by one shard (tenant
+  i by shard i mod --shards), so parallelism comes from tenants: shards
+  beyond --tenants sit idle. Each tenant's request stream is generated
   from --benchmark (--requests per tenant, submitted in --batch-sized
   chunks) and a full batch is rejected — never partially applied — when
-  a shard queue is full. Per-tenant results are bit-identical to a
-  single-threaded replay of the same stream: `deuce serve --replay`
-  prints exactly the per-tenant summary blocks the service prints,
-  whatever the shard count. --progress <file> appends serve_progress
-  JSONL lines `deuce watch` can tail; --store-dir backs each tenant's
-  line store with its own page file under <dir>. Wall-clock service
-  statistics go to stderr so stdout stays diffable.
+  the tenant's shard queue is full. Per-tenant results are
+  bit-identical to a single-threaded replay of the same stream:
+  `deuce serve --replay` prints exactly the per-tenant summary blocks
+  the service prints, whatever the shard count. --progress <file> appends
+  serve_progress JSONL lines `deuce watch` can tail; --store-dir backs
+  each tenant's line store with its own page file under <dir>.
+  Wall-clock service statistics go to stderr so stdout stays diffable.
 
 FAULTS:
   --faults injects online stuck-at cell faults: each cell dies once its
@@ -493,6 +495,11 @@ impl Command {
             None => return Ok(Command::Help),
             Some(s) => s,
         };
+        let args: Vec<String> = args.collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            return Ok(Command::Help);
+        }
+        let mut args = args.into_iter();
 
         if subcommand == "merge" {
             let manifests: Vec<String> = args.collect();
@@ -970,6 +977,20 @@ mod tests {
     fn no_args_is_help() {
         assert!(matches!(parse(&[]), Ok(Command::Help)));
         assert!(matches!(parse(&["help"]), Ok(Command::Help)));
+    }
+
+    #[test]
+    fn subcommand_help_flag_is_help() {
+        for cmd in ["run", "sweep", "serve"] {
+            for flag in ["--help", "-h"] {
+                assert!(matches!(parse(&[cmd, flag]), Ok(Command::Help)), "{cmd} {flag}");
+            }
+        }
+        // Anywhere after the subcommand, even after otherwise-valid flags.
+        assert!(matches!(
+            parse(&["run", "--benchmark", "mcf", "--help"]),
+            Ok(Command::Help)
+        ));
     }
 
     #[test]

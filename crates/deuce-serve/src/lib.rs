@@ -4,26 +4,27 @@
 //! crate answers "what does this *service* sustain?". A
 //! [`ServiceBuilder`] stands up one isolated key domain per tenant —
 //! its own [`deuce_sim::SimConfig`] (key seed, scheme, store backend)
-//! behind its own [`deuce_sim::StepSession`] — and a pool of per-bank
-//! worker shards, each a thread draining a bounded queue of batched
-//! read/write submissions.
+//! behind its own [`deuce_sim::StepSession`] — and a pool of worker
+//! shards, each a thread draining a bounded queue of batched
+//! read/write submissions. Tenants are assigned to shards round-robin
+//! by registration order, so parallelism comes from tenants: shards
+//! beyond the tenant count sit idle.
 //!
 //! The layer makes three promises:
 //!
 //! - **Isolation.** Tenants never share a key, a line store, or a
-//!   counter cache. A request is routed by `hash(tenant, addr)` to a
-//!   shard, but the shard only ever touches the owning tenant's
-//!   session, under that tenant's lock.
-//! - **Backpressure, not blocking.** [`ServeHandle::submit`] reserves
-//!   queue slots on every shard a batch touches before enqueueing
-//!   anything. If any shard is full the whole batch is rejected with
+//!   counter cache. Every request of a tenant goes to that tenant's one
+//!   shard, and only that shard ever touches the tenant's session.
+//! - **Backpressure, not blocking.** [`ServeHandle::submit`] checks
+//!   room for the whole batch and enqueues it under the tenant's shard
+//!   queue lock. If the batch does not fit it is rejected with
 //!   [`SubmitError::QueueFull`] — carrying a `retry_after` hint — and
 //!   *no request from the batch is ever applied*. Accepted batches are
 //!   applied exactly once.
-//! - **Determinism.** Each accepted request gets a per-tenant sequence
-//!   number in submission order; shards may apply out of order but a
-//!   per-tenant reorder buffer commits strictly in sequence. A tenant's
-//!   final memory image ([`TenantReport::fingerprint`]) and summary
+//! - **Determinism.** A tenant's requests wait in one FIFO queue, so
+//!   they are applied in submission order, and the `n`-th applied
+//!   request is stepped as sequence number `n`. A tenant's final
+//!   memory image ([`TenantReport::fingerprint`]) and summary
 //!   ([`TenantReport::result`]) are bit-identical to a single-threaded
 //!   replay of its request stream through
 //!   [`request_event`] + [`deuce_sim::Simulator::run_source`],

@@ -21,7 +21,7 @@ pub struct ServeStats {
     pub applied: u64,
     /// Wall time since the service started.
     pub elapsed: Duration,
-    /// Per-shard occupancy (queued plus reserved slots).
+    /// Per-shard queue depth (requests queued, not yet drained).
     pub shard_depths: Vec<usize>,
 }
 
@@ -67,8 +67,7 @@ pub struct ShardReport {
     pub drained: u64,
     /// Batches this shard popped.
     pub batches: u64,
-    /// Deepest queue observed at a pop (high-water mark; occupancy may
-    /// briefly exceed it between reservation and enqueue).
+    /// Deepest the queue ever got (high-water mark, taken at enqueue).
     pub max_depth: usize,
     /// Wall nanoseconds spent popping batches (queue lock held).
     pub drain_wall_ns: u64,

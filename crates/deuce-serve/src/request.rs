@@ -7,8 +7,8 @@ use deuce_trace::{LineAddr, LineBytes, TraceEvent};
 ///
 /// This is the serve-layer analogue of [`TraceEvent`], minus the parts
 /// the service owns: the issuing core (always 0 — a tenant is one
-/// logical memory client) and the sequence number (assigned at
-/// submission, in submission order).
+/// logical memory client) and the sequence number (the request's
+/// index in the tenant's accepted stream, assigned as it is applied).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Request {
     /// Read a line (blocks the simulated core like any trace read).

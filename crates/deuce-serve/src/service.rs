@@ -1,7 +1,7 @@
-//! Service internals: builder, handle, shard workers, and the
-//! reservation-based backpressure protocol.
+//! Service internals: builder, handle, shard workers, and
+//! whole-batch backpressure.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -16,7 +16,7 @@ use deuce_telemetry::{FlightEvent, FlightRecorder, Histogram, Recorder};
 use crate::report::{build_recorder, ServeReport, ServeStats, ShardReport, TenantReport};
 use crate::request::{request_event, Request};
 
-/// Requests drained per queue pop; bounds tenant-lock hold time.
+/// Requests drained per queue pop; bounds queue-lock hold time.
 const MAX_BATCH: usize = 32;
 
 /// Opaque handle naming one registered tenant.
@@ -38,21 +38,22 @@ impl TenantId {
 
 /// Why a batch was rejected at submission.
 ///
-/// Rejection is all-or-nothing: a rejected batch reserved no queue
-/// slots, consumed no sequence numbers, and will never be applied —
-/// resubmitting the identical batch later is safe and equivalent.
+/// Rejection is all-or-nothing: a rejected batch enqueued nothing and
+/// will never be applied — resubmitting the identical batch later is
+/// safe and equivalent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// A shard the batch routes to has no room for the batch's share.
+    /// The tenant's shard has no room for the whole batch.
     QueueFull {
-        /// The shard that was full.
+        /// The tenant's shard.
         shard: usize,
-        /// That shard's occupancy (queued + reserved) at rejection.
+        /// That shard's queue depth at rejection.
         queued: usize,
         /// The per-shard queue capacity.
         capacity: usize,
-        /// Suggested wait before retrying, estimated from the observed
-        /// drain rate (wall clock; never feeds simulated results).
+        /// Suggested wait before retrying: the time the shard needs to
+        /// free the slots the batch is short of, at its measured busy
+        /// time per request (wall clock; never feeds simulated results).
         retry_after: Duration,
     },
     /// [`ServeHandle::shutdown`] has begun; no new work is accepted.
@@ -107,15 +108,12 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A tenant's stepping state: the session plus the reorder buffer that
-/// turns shard-parallel delivery back into sequence order.
+/// A tenant's stepping state. Only the tenant's own shard steps it;
+/// the lock's poison recovery is what lets shutdown still collect the
+/// tenant after that shard panics.
 pub(crate) struct TenantCore {
     pub(crate) session: StepSession<AnyScheme, OtpEngine>,
-    /// Delivered-but-not-applied requests, keyed by sequence number.
-    pending: BTreeMap<u64, Request>,
-    /// Next sequence number to commit.
-    next_apply: u64,
-    /// Requests applied so far.
+    /// Requests applied so far; also the next request's sequence number.
     pub(crate) applied: u64,
     /// Ring of recent applied requests, when flight recording is on.
     pub(crate) flight: Option<FlightRing>,
@@ -141,8 +139,6 @@ impl Recorder for FlightRing {
 pub(crate) struct Tenant {
     pub(crate) name: String,
     pub(crate) core: Mutex<TenantCore>,
-    /// Next sequence number to hand out at submission.
-    next_seq: AtomicU64,
     /// Latched on the first uncorrectable write.
     pub(crate) degraded: AtomicBool,
 }
@@ -151,9 +147,9 @@ pub(crate) struct Tenant {
 pub(crate) struct Shard {
     queue: Mutex<VecDeque<Item>>,
     available: Condvar,
-    /// Queued items plus reserved-but-not-yet-pushed slots; the value
-    /// the admission check runs against.
-    occupancy: AtomicUsize,
+    /// Mirror of the queue length, written under the queue lock, so
+    /// [`ServeHandle::stats`] reads depths without locking.
+    depth: AtomicUsize,
     pub(crate) drained: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) max_depth: AtomicUsize,
@@ -168,7 +164,7 @@ impl Shard {
         Self {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            occupancy: AtomicUsize::new(0),
+            depth: AtomicUsize::new(0),
             drained: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             max_depth: AtomicUsize::new(0),
@@ -177,24 +173,22 @@ impl Shard {
         }
     }
 
-    /// Reserves `n` slots against `capacity`; false if that would
-    /// overflow the queue.
-    fn try_reserve(&self, n: usize, capacity: usize) -> bool {
-        self.occupancy
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
-                (cur + n <= capacity).then_some(cur + n)
-            })
-            .is_ok()
-    }
-
-    fn release(&self, n: usize) {
-        self.occupancy.fetch_sub(n, Ordering::SeqCst);
+    /// Estimated wait until `need` more requests have drained, at this
+    /// shard's wall time per request while busy. Idle time is left out,
+    /// so a client's backoff cannot slow the measured rate and stretch
+    /// the next hint. Clamped to [0.1 ms, 250 ms]; the floor also
+    /// covers a shard that has drained nothing yet.
+    fn retry_after(&self, need: usize) -> Duration {
+        let drained = self.drained.load(Ordering::Relaxed).max(1);
+        let busy_ns = self.drain_wall_ns.load(Ordering::Relaxed)
+            + self.apply_wall_ns.load(Ordering::Relaxed);
+        let secs = need as f64 * busy_ns as f64 / drained as f64 * 1e-9;
+        Duration::from_secs_f64(secs.clamp(0.000_1, 0.25))
     }
 }
 
 struct Item {
     tenant: usize,
-    seq: u64,
     request: Request,
 }
 
@@ -224,16 +218,11 @@ impl ServiceState {
     }
 }
 
-/// Routes `(tenant, addr)` to a shard (splitmix64 finalizer over the
-/// pair). Pure, so routing is identical across runs; determinism does
-/// not depend on it because commits go through the reorder buffer.
-fn shard_of(tenant: usize, addr: u64, shards: usize) -> usize {
-    let mut z = (tenant as u64)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(addr);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((z ^ (z >> 31)) % shards as u64) as usize
+/// The one shard that queues and applies every request of `tenant`:
+/// round-robin by registration order. Keeping a tenant on one FIFO
+/// queue is what makes apply order equal submission order.
+fn shard_of(tenant: usize, shards: usize) -> usize {
+    tenant % shards
 }
 
 /// Configures and launches a service; see the crate docs for the
@@ -283,7 +272,9 @@ impl ServiceBuilder {
         }
     }
 
-    /// Sets the worker shard count (clamped to at least 1).
+    /// Sets the worker shard count (clamped to at least 1). Tenant `i`
+    /// (registration order) is served by shard `i % shards`, so shards
+    /// beyond the tenant count sit idle.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -291,7 +282,7 @@ impl ServiceBuilder {
     }
 
     /// Sets the per-shard queue capacity (clamped to at least 1).
-    /// Submissions that would overflow any routed-to shard are rejected
+    /// Submissions that would overflow the tenant's shard are rejected
     /// whole with [`SubmitError::QueueFull`].
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
@@ -351,15 +342,12 @@ impl ServiceBuilder {
                 name,
                 core: Mutex::new(TenantCore {
                     session,
-                    pending: BTreeMap::new(),
-                    next_apply: 0,
                     applied: 0,
                     flight: self
                         .flight_capacity
                         .map(|cap| FlightRing(FlightRecorder::new(cap))),
                     ue_snapshot: None,
                 }),
-                next_seq: AtomicU64::new(0),
                 degraded: AtomicBool::new(false),
             });
         }
@@ -391,9 +379,8 @@ impl ServiceBuilder {
     }
 }
 
-/// The shard worker loop: drain a batch from this shard's queue,
-/// deliver each item into its tenant's reorder buffer, and commit
-/// everything that is next in sequence.
+/// The shard worker loop: drain a batch from this shard's queue and
+/// step each item into its tenant's session, in queue order.
 fn worker(state: &ServiceState, shard_idx: usize) {
     let shard = &state.shards[shard_idx];
     let mut batch: Vec<Item> = Vec::with_capacity(MAX_BATCH);
@@ -405,23 +392,15 @@ fn worker(state: &ServiceState, shard_idx: usize) {
             loop {
                 if !queue.is_empty() {
                     let t0 = Instant::now();
-                    shard
-                        .max_depth
-                        .fetch_max(queue.len(), Ordering::Relaxed);
-                    while batch.len() < MAX_BATCH {
-                        match queue.pop_front() {
-                            Some(item) => batch.push(item),
-                            None => break,
-                        }
-                    }
+                    let take = queue.len().min(MAX_BATCH);
+                    batch.extend(queue.drain(..take));
+                    shard.depth.store(queue.len(), Ordering::Relaxed);
                     shard
                         .drain_wall_ns
                         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     break;
                 }
-                if state.stop.load(Ordering::SeqCst)
-                    && shard.occupancy.load(Ordering::SeqCst) == 0
-                {
+                if state.stop.load(Ordering::SeqCst) {
                     return;
                 }
                 queue = shard
@@ -432,7 +411,6 @@ fn worker(state: &ServiceState, shard_idx: usize) {
             }
         }
 
-        shard.release(batch.len());
         shard.drained.fetch_add(batch.len() as u64, Ordering::SeqCst);
         shard.batches.fetch_add(1, Ordering::Relaxed);
         state
@@ -446,22 +424,17 @@ fn worker(state: &ServiceState, shard_idx: usize) {
             let tenant = &state.tenants[item.tenant];
             let mut guard = tenant.core.lock().unwrap_or_else(PoisonError::into_inner);
             let core = &mut *guard;
-            core.pending.insert(item.seq, item.request);
-            while let Some(request) = core.pending.remove(&core.next_apply) {
-                let event = request_event(core.next_apply, &request);
-                let step = match core.flight.as_mut() {
-                    Some(ring) => core.session.step_recorded(&event, ring),
-                    None => core.session.step(&event),
-                };
-                core.next_apply += 1;
-                core.applied += 1;
-                state.applied.fetch_add(1, Ordering::SeqCst);
-                if let SessionStep::Write { uncorrectable: true, .. } = step {
-                    tenant.degraded.store(true, Ordering::SeqCst);
-                    if core.ue_snapshot.is_none() {
-                        core.ue_snapshot =
-                            core.flight.as_ref().map(|ring| ring.0.clone());
-                    }
+            let event = request_event(core.applied, &item.request);
+            let step = match core.flight.as_mut() {
+                Some(ring) => core.session.step_recorded(&event, ring),
+                None => core.session.step(&event),
+            };
+            core.applied += 1;
+            state.applied.fetch_add(1, Ordering::SeqCst);
+            if let SessionStep::Write { uncorrectable: true, .. } = step {
+                tenant.degraded.store(true, Ordering::SeqCst);
+                if core.ue_snapshot.is_none() {
+                    core.ue_snapshot = core.flight.as_ref().map(|ring| ring.0.clone());
                 }
             }
         }
@@ -527,26 +500,26 @@ impl ServeHandle {
 
     /// Submits a batch of requests for `tenant`, atomically.
     ///
-    /// Queue slots are reserved on every shard the batch routes to
-    /// *before* anything is enqueued; if any shard lacks room the
-    /// reservations are rolled back and the whole batch is rejected
-    /// with [`SubmitError::QueueFull`] — no request from a rejected
-    /// batch is ever applied, and no sequence numbers are consumed.
-    /// On success every request is assigned the tenant's next sequence
-    /// numbers in batch order and will be applied exactly once.
+    /// Every request of a tenant goes to that tenant's one shard. The
+    /// room check and the enqueue happen under that shard's queue lock:
+    /// if the whole batch does not fit it is rejected with
+    /// [`SubmitError::QueueFull`] and no request from it is ever
+    /// applied. An accepted batch is appended to the queue in batch
+    /// order and every request is applied exactly once, so a tenant's
+    /// apply order is its submission order.
     ///
-    /// Sequence order across *separate* `submit` calls for the same
-    /// tenant follows the order the calls reserve, so drive each
-    /// tenant from one thread when replay-comparable streams matter.
+    /// Order across *separate* `submit` calls for the same tenant is
+    /// the order they take the queue lock, so drive each tenant from
+    /// one thread when replay-comparable streams matter.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] under backpressure (resubmit after
     /// `retry_after`), [`SubmitError::ShuttingDown`] once shutdown has
-    /// begun. An empty batch always succeeds. A batch whose share on
-    /// any single shard exceeds [`queue_depth`](Self::queue_depth) can
-    /// *never* be accepted — retrying it loops forever; keep batches
-    /// no larger than the queue depth.
+    /// begun. An empty batch always succeeds. A batch longer than
+    /// [`queue_depth`](Self::queue_depth) can *never* be accepted —
+    /// retrying it loops forever; keep batches no larger than the
+    /// queue depth.
     ///
     /// # Examples
     ///
@@ -569,82 +542,36 @@ impl ServeHandle {
         if batch.is_empty() {
             return Ok(());
         }
+        let shard = shard_of(tenant.0, self.state.shards.len());
+        let target = &self.state.shards[shard];
+        let mut queue = target.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        // Checked under the queue lock: a worker that saw `stop` and an
+        // empty queue has exited, and no request may land behind it.
         if self.state.stop.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
-        let shards = self.state.shards.len();
-        let mut counts = vec![0usize; shards];
-        for request in batch {
-            counts[shard_of(tenant.0, request.addr().value(), shards)] += 1;
-        }
-
-        for (shard, &n) in counts.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !self.state.shards[shard].try_reserve(n, self.state.queue_depth) {
-                for (prior, &m) in counts.iter().enumerate().take(shard) {
-                    if m > 0 {
-                        self.state.shards[prior].release(m);
-                    }
-                }
-                self.state
-                    .rejected
-                    .fetch_add(batch.len() as u64, Ordering::SeqCst);
-                let queued = self.state.shards[shard].occupancy.load(Ordering::SeqCst);
-                return Err(SubmitError::QueueFull {
-                    shard,
-                    queued,
-                    capacity: self.state.queue_depth,
-                    retry_after: self.retry_after(queued),
-                });
-            }
-        }
-
-        let base = self.state.tenants[tenant.0]
-            .next_seq
-            .fetch_add(batch.len() as u64, Ordering::SeqCst);
-        let mut routed: Vec<Vec<Item>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, request) in batch.iter().enumerate() {
-            let shard = shard_of(tenant.0, request.addr().value(), shards);
-            routed[shard].push(Item {
-                tenant: tenant.0,
-                seq: base + i as u64,
-                request: *request,
+        let queued = queue.len();
+        if queued + batch.len() > self.state.queue_depth {
+            drop(queue);
+            self.state
+                .rejected
+                .fetch_add(batch.len() as u64, Ordering::SeqCst);
+            return Err(SubmitError::QueueFull {
+                shard,
+                queued,
+                capacity: self.state.queue_depth,
+                retry_after: target.retry_after(queued + batch.len() - self.state.queue_depth),
             });
         }
-        for (shard, items) in routed.into_iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let target = &self.state.shards[shard];
-            let mut queue = target.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            queue.extend(items);
-            drop(queue);
-            target.available.notify_all();
-        }
+        queue.extend(batch.iter().map(|&request| Item { tenant: tenant.0, request }));
+        target.depth.store(queue.len(), Ordering::Relaxed);
+        target.max_depth.fetch_max(queue.len(), Ordering::Relaxed);
         self.state
             .submitted
             .fetch_add(batch.len() as u64, Ordering::SeqCst);
+        drop(queue);
+        target.available.notify_one();
         Ok(())
-    }
-
-    /// Estimated wait for `queued` items to drain at the observed
-    /// per-shard rate; a 10ms default before any drain data exists.
-    fn retry_after(&self, queued: usize) -> Duration {
-        let elapsed = self.state.started.elapsed().as_secs_f64();
-        let drained: u64 = self
-            .state
-            .shards
-            .iter()
-            .map(|s| s.drained.load(Ordering::Relaxed))
-            .sum();
-        let rate = drained as f64 / self.state.shards.len() as f64 / elapsed.max(1e-6);
-        if rate < 1.0 {
-            Duration::from_millis(10)
-        } else {
-            Duration::from_secs_f64((queued as f64 / rate).clamp(0.000_1, 0.25))
-        }
     }
 
     /// Releases workers parked by [`ServiceBuilder::start_paused`].
@@ -707,7 +634,7 @@ impl ServeHandle {
                 .state
                 .shards
                 .iter()
-                .map(|s| s.occupancy.load(Ordering::SeqCst))
+                .map(|s| s.depth.load(Ordering::Relaxed))
                 .collect(),
         }
     }
@@ -838,18 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_stable_and_in_range() {
-        for tenant in 0..4 {
-            for addr in 0..64 {
-                let s = shard_of(tenant, addr, 3);
-                assert!(s < 3);
-                assert_eq!(s, shard_of(tenant, addr, 3));
-            }
-        }
-        assert_eq!(shard_of(0, 0, 1), 0);
-    }
-
-    #[test]
     fn paused_service_reports_depth_then_drains_on_resume() {
         let handle = ServiceBuilder::new()
             .start_paused()
@@ -890,12 +805,25 @@ mod tests {
         handle.submit(a, &make(0, 3)).unwrap();
         let err = handle.submit(a, &make(3, 3)).unwrap_err();
         assert!(matches!(err, SubmitError::QueueFull { capacity: 4, .. }));
-        // The failed reservation rolled back: one more still fits.
+        // The rejected batch left no trace: one more still fits.
         handle.submit(a, &make(100, 1)).unwrap();
         handle.resume();
         let report = handle.shutdown();
         assert_eq!(report.applied, 4, "only accepted requests applied");
         assert_eq!(report.rejected, 3);
+    }
+
+    #[test]
+    fn retry_after_is_shortfall_at_busy_time_per_request() {
+        let shard = Shard::new();
+        assert_eq!(shard.retry_after(64), Duration::from_micros(100), "no data: floor");
+        // 1 µs of busy time per drained request; idle time never counts.
+        shard.drained.store(1000, Ordering::Relaxed);
+        shard.drain_wall_ns.store(100_000, Ordering::Relaxed);
+        shard.apply_wall_ns.store(900_000, Ordering::Relaxed);
+        assert_eq!(shard.retry_after(500), Duration::from_micros(500));
+        assert_eq!(shard.retry_after(1), Duration::from_micros(100), "floor");
+        assert_eq!(shard.retry_after(1 << 20), Duration::from_millis(250), "ceiling");
     }
 
     #[test]

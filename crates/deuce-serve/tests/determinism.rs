@@ -219,3 +219,37 @@ fn rejected_batches_never_partially_apply() {
         "accepted-only replay",
     );
 }
+
+#[test]
+fn each_tenant_is_served_by_one_shard() {
+    // Tenant i (registration order) lives on shard i % shards, so each
+    // shard drains exactly the summed streams of its tenants — none
+    // when it has no tenant — and every result still equals its replay.
+    for (lengths, shards) in [(&[300u64, 120, 450, 60][..], 2usize), (&[200, 350][..], 4)] {
+        let tenants: Vec<(u64, Vec<Request>)> = lengths
+            .iter()
+            .enumerate()
+            .map(|(t, &n)| (t as u64, stream(t as u64, n)))
+            .collect();
+        let report = serve(&tenants, shards, 64, 7);
+        assert!(report.clean(), "clean run at {shards} shards");
+        for (shard, got) in report.shards.iter().enumerate() {
+            let expected: u64 = lengths
+                .iter()
+                .enumerate()
+                .filter(|(t, _)| t % shards == shard)
+                .map(|(_, &n)| n)
+                .sum();
+            assert_eq!(got.drained, expected, "shard {shard} of {shards}");
+        }
+        for ((tenant, requests), got) in tenants.iter().zip(&report.tenants) {
+            let (expected, fingerprint) = replay(*tenant, requests);
+            assert_eq!(got.fingerprint, fingerprint, "tenant {tenant} at {shards} shards");
+            assert_results_identical(
+                got.result.as_ref().expect("tenant finished clean"),
+                &expected,
+                &format!("tenant {tenant} at {shards} shards"),
+            );
+        }
+    }
+}

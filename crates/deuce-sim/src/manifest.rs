@@ -393,6 +393,15 @@ pub fn merge_manifests(
 mod tests {
     use super::*;
 
+    /// A scratch directory private to one test, so parallel tests never
+    /// share (or remove) each other's files.
+    fn scratch(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("deuce-manifest-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn header() -> ManifestHeader {
         ManifestHeader {
             grid: "mcf w600 s9".into(),
@@ -439,8 +448,7 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("deuce-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("write_read_roundtrip");
         let path = dir.join("roundtrip.jsonl");
         let writer = ManifestWriter::create(&path, &header()).unwrap();
         for cell in [2u64, 0, 3, 1] {
@@ -450,13 +458,12 @@ mod tests {
         assert_eq!(h, header());
         assert_eq!(records.len(), 4);
         assert_eq!(records[0], record(2), "file order is completion order");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resume_reports_completed_cells_and_truncates_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("deuce-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("resume_reports_completed_cells_and_truncates_torn_tail");
         let path = dir.join("resume.jsonl");
         {
             let writer = ManifestWriter::create(&path, &header()).unwrap();
@@ -476,13 +483,12 @@ mod tests {
         let mut cells: Vec<u64> = records.iter().map(|r| r.cell).collect();
         cells.sort_unstable();
         assert_eq!(cells, vec![0, 1, 2, 3], "torn tail replaced by the real record");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resume_rejects_a_different_grid() {
-        let dir = std::env::temp_dir().join(format!("deuce-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("resume_rejects_a_different_grid");
         let path = dir.join("mismatch.jsonl");
         let _ = ManifestWriter::create(&path, &header()).unwrap();
         let mut other = header();
@@ -491,7 +497,7 @@ mod tests {
             ManifestWriter::resume(&path, &other),
             Err(ManifestError::HeaderMismatch { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -65,10 +65,12 @@ echo "==> determinism OK (per-tenant fingerprints identical at every shard count
 SPEEDUP="$(awk -v a="$BEST_RPS" -v b="$BASE_RPS" 'BEGIN{printf "%.2f", a/b}')"
 
 DATE="$(date +%F)"
+NPROC="$(nproc)"
 cat > BENCH_serve.json <<EOF
 {
   "description": "Saturation curve of the deuce-serve sharded multi-tenant front end: $TENANTS tenants, each a libquantum-profile request stream of $WRITES writes (plus interleaved reads) in its own key domain, submitted by one thread per tenant in batches of 32 with QueueFull retry, at shard counts ${SHARD_COUNTS[*]}. Every run verified its per-tenant memory fingerprints bit-identical to a single-threaded replay (replay_match), and the fingerprint set was verified identical across all shard counts by scripts/bench_serve.sh before this file was written — the curve only records runs whose results were provably shard-count-invariant.",
   "date": "$DATE",
+  "nproc": $NPROC,
   "tenants": $TENANTS,
   "writes_per_tenant": $WRITES,
   "shard_counts": [$(IFS=,; echo "${SHARD_COUNTS[*]}")],

@@ -12,7 +12,10 @@ echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 DEUCE=target/release/deuce
 
-echo "==> cargo test -q --offline --workspace"
+echo "==> cargo test -q --offline --workspace (twice)"
+# A second full run: tests that share scratch files race, and one lucky
+# run would hide it.
+cargo test -q --offline --workspace
 cargo test -q --offline --workspace
 
 echo "==> AES differential suites, once per dispatch tier (FIPS-197 + randomized)"
@@ -153,6 +156,12 @@ echo "==> serve smoke test (sharded service == single-threaded replay, byte-iden
     > "$SMOKE_DIR/serve.out" 2> /dev/null
 "$DEUCE" serve --tenants 2 --requests 800 --replay > "$SMOKE_DIR/serve.replay"
 diff -u "$SMOKE_DIR/serve.replay" "$SMOKE_DIR/serve.out"
+# Four tenants on two shards: tenants share a shard queue, so its
+# worker interleaves two tenants' streams.
+"$DEUCE" serve --tenants 4 --shards 2 --requests 800 --queue-depth 128 \
+    > "$SMOKE_DIR/serve-shared.out" 2> /dev/null
+"$DEUCE" serve --tenants 4 --requests 800 --replay > "$SMOKE_DIR/serve-shared.replay"
+diff -u "$SMOKE_DIR/serve-shared.replay" "$SMOKE_DIR/serve-shared.out"
 # The serve layer's spans ride the standard telemetry pipeline: the
 # report's span table names the serve stages.
 "$DEUCE" report "$SMOKE_DIR/serve.jsonl" > "$SMOKE_DIR/serve.report"

@@ -31,7 +31,7 @@ use deuce_serve::{
 use crate::args::{
     CliError, GenArgs, MergeArgs, ReportArgs, RunArgs, ServeArgs, StatsArgs, TraceFormat,
 };
-use crate::format::{FaultSummary, PadCacheSummary, RunSummary, StoreSummary, METRIC_HEADER};
+use crate::format::{write_totals, FaultSummary, RunSummary, METRIC_HEADER};
 
 fn trace_config(gen: &GenArgs) -> TraceConfig {
     TraceConfig::new(gen.benchmark)
@@ -369,6 +369,18 @@ fn drive_stream<R: Recorder>(
     Ok(simulator.run_source_recorded(source, rec)?)
 }
 
+/// The result block `deuce run` prints after its `scheme` line,
+/// streamed or not.
+fn write_run_result<W: Write>(result: &SimResult, out: &mut W) -> Result<(), CliError> {
+    RunSummary::from(result).write_to(out)?;
+    writeln!(out, "aes_backend\t{}", result.aes_backend)?;
+    if let Some(report) = &result.faults {
+        FaultSummary::from(report).write_to(out)?;
+    }
+    write_totals(out, result)?;
+    Ok(())
+}
+
 /// `deuce run --stream`: same simulation, driven from the source one
 /// event at a time — O(1) trace-resident memory at any trace length.
 fn run_streamed<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
@@ -384,17 +396,7 @@ fn run_streamed<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     } else {
         drive_stream(args, &simulator, &mut *source, &mut NullRecorder)?
     };
-    RunSummary::from(&result).write_to(out)?;
-    writeln!(out, "aes_backend\t{}", result.aes_backend)?;
-    if let Some(report) = &result.faults {
-        FaultSummary::from(report).write_to(out)?;
-    }
-    if let Some(stats) = result.pad_cache {
-        PadCacheSummary::from(stats).write_to(out)?;
-    }
-    if let Some(stats) = result.store {
-        StoreSummary::from(stats).write_to(out)?;
-    }
+    write_run_result(&result, out)?;
     if let Some(path) = &args.checkpoint {
         writeln!(out, "checkpoint\t{path}")?;
     }
@@ -431,17 +433,7 @@ pub fn run<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     } else {
         simulator.run_source(&mut TraceSource::new(&trace))?
     };
-    RunSummary::from(&result).write_to(out)?;
-    writeln!(out, "aes_backend\t{}", result.aes_backend)?;
-    if let Some(report) = &result.faults {
-        FaultSummary::from(report).write_to(out)?;
-    }
-    if let Some(stats) = result.pad_cache {
-        PadCacheSummary::from(stats).write_to(out)?;
-    }
-    if let Some(stats) = result.store {
-        StoreSummary::from(stats).write_to(out)?;
-    }
+    write_run_result(&result, out)?;
     Ok(())
 }
 
@@ -1067,9 +1059,7 @@ fn write_tenant_block<W: Write>(
     writeln!(out, "fingerprint\t{fingerprint:016x}")?;
     writeln!(out, "degraded\t{degraded}")?;
     RunSummary::from(result).write_to(out)?;
-    if let Some(stats) = result.store {
-        StoreSummary::from(stats).write_to(out)?;
-    }
+    write_totals(out, result)?;
     Ok(())
 }
 
@@ -1331,6 +1321,7 @@ pub fn serve<W: Write>(args: &ServeArgs, out: &mut W) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::args::FaultArgs;
+    use crate::ScratchDir;
     use deuce_trace::Benchmark;
 
     #[test]
@@ -1405,8 +1396,7 @@ mod tests {
 
     #[test]
     fn gen_stats_roundtrip_through_disk() {
-        let dir = std::env::temp_dir().join("deuce-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-test");
         let path = dir.join("t.trace");
         let path_str = path.to_str().unwrap().to_string();
 
@@ -1443,14 +1433,11 @@ mod tests {
             .parse()
             .expect("percentage");
         assert!((rate - 50.0).abs() < 1.5, "encrypted DCW flip rate {rate}%");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn run_with_telemetry_then_report_round_trips() {
-        let dir = std::env::temp_dir().join("deuce-cli-telemetry-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-telemetry-test");
         let jsonl = dir.join("run.jsonl");
         let jsonl_str = jsonl.to_str().unwrap().to_string();
 
@@ -1491,14 +1478,11 @@ mod tests {
             };
             assert_eq!(row(&text), row(&run_text), "{key}");
         }
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn faulty_run_reports_degradation_and_round_trips_through_report() {
-        let dir = std::env::temp_dir().join("deuce-cli-faults-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-faults-test");
         let jsonl = dir.join("faults.jsonl");
         let jsonl_str = jsonl.to_str().unwrap().to_string();
 
@@ -1550,8 +1534,6 @@ mod tests {
         let table = String::from_utf8(out).unwrap();
         assert!(table.starts_with("scheme\t"), "{table}");
         assert!(table.lines().next().unwrap().ends_with("first_ue\tlines_retired"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1574,8 +1556,7 @@ mod tests {
 
     #[test]
     fn pad_cached_run_reports_hits_and_stays_bit_identical() {
-        let dir = std::env::temp_dir().join("deuce-cli-pad-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-pad-cache-test");
         let jsonl = dir.join("cached.jsonl");
         let jsonl_str = jsonl.to_str().unwrap().to_string();
 
@@ -1613,14 +1594,11 @@ mod tests {
         let exported = std::fs::read_to_string(dir.join("cached.jsonl")).unwrap();
         assert!(exported.contains("\"name\":\"pad_cache_hits\""), "{exported}");
         assert!(exported.contains("\"name\":\"pad_cache_misses\""));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn paged_run_reports_residency_and_stays_bit_identical() {
-        let dir = std::env::temp_dir().join("deuce-cli-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-store-test");
         let pages = dir.join("lines.pages").to_str().unwrap().to_string();
         let jsonl = dir.join("paged.jsonl").to_str().unwrap().to_string();
 
@@ -1662,14 +1640,11 @@ mod tests {
         let report_text = String::from_utf8(report_out).unwrap();
         assert!(report_text.contains("store (page-file backend):"), "{report_text}");
         assert!(report_text.contains("store_page_evictions"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn paged_sweep_derives_per_cell_page_files() {
-        let dir = std::env::temp_dir().join("deuce-cli-store-sweep");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-store-sweep");
         let pages = dir.join("sweep.pages").to_str().unwrap().to_string();
 
         let base = RunArgs { gen: small_gen(), ..RunArgs::default() };
@@ -1692,8 +1667,6 @@ mod tests {
         // Each parallel cell wrote its own derived page file.
         assert!(std::path::Path::new(&format!("{pages}.w1e8")).exists());
         assert!(std::path::Path::new(&format!("{pages}.w8e64")).exists());
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1710,8 +1683,7 @@ mod tests {
 
     #[test]
     fn report_rejects_empty_and_malformed_files() {
-        let dir = std::env::temp_dir().join("deuce-cli-report-errors");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-report-errors");
         let empty = dir.join("empty.jsonl");
         std::fs::write(&empty, "").unwrap();
         let err = report(
@@ -1728,7 +1700,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CliError::Telemetry(_)), "{err:?}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1767,8 +1738,7 @@ mod tests {
 
     #[test]
     fn gen_jsonl_round_trips_through_stats_and_run() {
-        let dir = std::env::temp_dir().join("deuce-cli-jsonl-gen");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-jsonl-gen");
         let bin_path = dir.join("t.trace").to_str().unwrap().to_string();
         let jsonl_path = dir.join("t.jsonl").to_str().unwrap().to_string();
 
@@ -1800,14 +1770,11 @@ mod tests {
             })
             .collect();
         assert_eq!(outputs[0], outputs[1], "binary and JSONL dialects agree");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpointed_stream_resumes_and_detects_divergence() {
-        let dir = std::env::temp_dir().join("deuce-cli-checkpoint");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-checkpoint");
         let cp_path = dir.join("run.cp.jsonl").to_str().unwrap().to_string();
 
         let emit_args = RunArgs {
@@ -1840,14 +1807,11 @@ mod tests {
         diverged.gen.seed += 1;
         let err = run(&diverged, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, CliError::Checkpoint(_)), "{err:?}");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn trace_out_writes_chrome_spans_and_report_renders_the_table() {
-        let dir = std::env::temp_dir().join("deuce-cli-trace-out");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-trace-out");
         let chrome_path = dir.join("spans.json").to_str().unwrap().to_string();
         let jsonl_path = dir.join("run.jsonl").to_str().unwrap().to_string();
 
@@ -1879,14 +1843,11 @@ mod tests {
             .expect("span table rendered");
         assert!(report_text.find("== profiling").unwrap() < spans_at);
         assert!(report_text.contains("run\tname\tparent\tcount\ttotal_ns\tself_ns"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn flight_recorder_dumps_on_uncorrectable_and_stays_quiet_otherwise() {
-        let dir = std::env::temp_dir().join("deuce-cli-flight");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-flight");
         let jsonl_path = dir.join("faults.jsonl").to_str().unwrap().to_string();
         let dump_path = format!("{jsonl_path}.flight.jsonl");
 
@@ -1925,14 +1886,11 @@ mod tests {
         run(&healthy, &mut out).unwrap();
         assert!(!String::from_utf8(out).unwrap().contains("flight\t"));
         assert!(!std::path::Path::new(&dump_path).exists());
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn report_warns_once_per_unknown_record_kind() {
-        let dir = std::env::temp_dir().join("deuce-cli-unknown-kinds");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-unknown-kinds");
         let jsonl_path = dir.join("run.jsonl").to_str().unwrap().to_string();
 
         let args = RunArgs {
@@ -1971,14 +1929,11 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert_eq!(body, String::from_utf8(before).unwrap());
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_files_lead_with_the_run_total() {
-        let dir = std::env::temp_dir().join("deuce-cli-run-total");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-run-total");
         let trace_path = dir.join("t.trace").to_str().unwrap().to_string();
         let cp_path = dir.join("run.cp.jsonl").to_str().unwrap().to_string();
 
@@ -2011,14 +1966,11 @@ mod tests {
         let mut out = Vec::new();
         run(&resume, &mut out).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("resume_verified\t"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_sweep_merges_byte_identical_to_unsharded() {
-        let dir = std::env::temp_dir().join("deuce-cli-shard-sweep");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-shard-sweep");
 
         let base = RunArgs { gen: small_gen(), ..RunArgs::default() };
         let mut unsharded = Vec::new();
@@ -2073,14 +2025,11 @@ mod tests {
         let mut merged = Vec::new();
         merge(&MergeArgs { manifests: manifest_paths }, &mut merged).unwrap();
         assert_eq!(String::from_utf8(merged).unwrap(), unsharded, "resumed shard still merges");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_rejects_a_manifest_from_different_args() {
-        let dir = std::env::temp_dir().join("deuce-cli-manifest-mismatch");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("deuce-cli-manifest-mismatch");
         let path = dir.join("m.jsonl").to_str().unwrap().to_string();
 
         let args = RunArgs {
@@ -2095,7 +2044,5 @@ mod tests {
         other.resume = true;
         let err = sweep(&other, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, CliError::Manifest(_)), "{err:?}");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

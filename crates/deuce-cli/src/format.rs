@@ -7,8 +7,7 @@
 
 use std::io::{self, Write};
 
-use deuce_crypto::PadCacheStats;
-use deuce_sim::{FaultReport, SimResult, StorePageStats};
+use deuce_sim::{FaultReport, SimResult};
 
 /// Tab-separated header matching [`RunSummary::metric_cells`], shared
 /// by the `compare` and `sweep` tables.
@@ -150,90 +149,41 @@ impl FaultSummary {
     }
 }
 
-/// The AES-work headline of a pad-cached run, printed as `pad_cache_*`
-/// rows after the [`RunSummary`] block (only when `--pad-cache` is on,
-/// so cache-free output is unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PadCacheSummary {
-    /// Line-pad lookups answered from the cache.
-    pub hits: u64,
-    /// Line-pad lookups that fell through to AES.
-    pub misses: u64,
-    /// Next-epoch pads generated speculatively ahead of demand.
-    pub prefills: u64,
-}
-
-impl From<PadCacheStats> for PadCacheSummary {
-    fn from(stats: PadCacheStats) -> Self {
-        Self { hits: stats.hits, misses: stats.misses, prefills: stats.prefills }
+/// Writes the end-of-run totals rows of each attached subsystem
+/// after the [`RunSummary`] block: the pad cache's rows plus its
+/// derived `pad_cache_hit_ratio`, then the paged store's rows. A run
+/// without a subsystem prints none of its rows.
+///
+/// # Errors
+///
+/// Returns I/O errors from the writer.
+pub fn write_totals<W: Write>(out: &mut W, result: &SimResult) -> io::Result<()> {
+    if let Some(stats) = result.pad_cache {
+        write_rows(out, &stats.rows())?;
+        // Prefills are speculative work, not demand lookups: they stay
+        // out of the hit ratio.
+        let demand = stats.hits + stats.misses;
+        let ratio = if demand == 0 { 0.0 } else { stats.hits as f64 / demand as f64 };
+        writeln!(out, "pad_cache_hit_ratio\t{ratio:.3}")?;
     }
-}
-
-impl PadCacheSummary {
-    /// Writes the `pad_cache_*` rows of the `deuce run` summary block.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        writeln!(out, "pad_cache_hits\t{}", self.hits)?;
-        writeln!(out, "pad_cache_misses\t{}", self.misses)?;
-        writeln!(out, "pad_cache_prefills\t{}", self.prefills)?;
-        let total = self.hits + self.misses;
-        let ratio = if total == 0 { 0.0 } else { self.hits as f64 / total as f64 };
-        writeln!(out, "pad_cache_hit_ratio\t{:.3}", ratio)?;
-        Ok(())
+    if let Some(stats) = result.store {
+        write_rows(out, &stats.rows())?;
     }
+    Ok(())
 }
 
-/// The residency headline of a page-file-backed run, printed as
-/// `store_*` rows after the [`RunSummary`] block (only when
-/// `--store-file` is on, so in-RAM output is unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreSummary {
-    /// Page loads that missed the resident cache.
-    pub page_faults: u64,
-    /// Resident pages displaced by the LRU budget.
-    pub page_evictions: u64,
-    /// Dirty pages written back to the page file.
-    pub pages_flushed: u64,
-    /// Resident line-store bytes at end of run.
-    pub resident_bytes: u64,
-    /// Peak resident line-store bytes over the run.
-    pub peak_resident_bytes: u64,
-}
-
-impl From<StorePageStats> for StoreSummary {
-    fn from(stats: StorePageStats) -> Self {
-        Self {
-            page_faults: stats.page_faults,
-            page_evictions: stats.page_evictions,
-            pages_flushed: stats.pages_flushed,
-            resident_bytes: stats.resident_bytes,
-            peak_resident_bytes: stats.peak_resident_bytes,
-        }
+fn write_rows<W: Write>(out: &mut W, rows: &[(&'static str, u64)]) -> io::Result<()> {
+    for (name, value) in rows {
+        writeln!(out, "{name}\t{value}")?;
     }
-}
-
-impl StoreSummary {
-    /// Writes the `store_*` rows of the `deuce run` summary block.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        writeln!(out, "store_page_faults\t{}", self.page_faults)?;
-        writeln!(out, "store_page_evictions\t{}", self.page_evictions)?;
-        writeln!(out, "store_pages_flushed\t{}", self.pages_flushed)?;
-        writeln!(out, "store_resident_bytes\t{}", self.resident_bytes)?;
-        writeln!(out, "store_peak_resident_bytes\t{}", self.peak_resident_bytes)?;
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deuce_crypto::PadCacheStats;
+    use deuce_sim::StorePageStats;
 
     fn sample() -> RunSummary {
         RunSummary {
@@ -298,41 +248,35 @@ mod tests {
     }
 
     #[test]
-    fn pad_cache_summary_renders_every_row() {
-        let mut out = Vec::new();
-        PadCacheSummary::from(PadCacheStats { hits: 30, misses: 10, prefills: 4 })
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("pad_cache_hits\t30"));
-        assert!(text.contains("pad_cache_misses\t10"));
-        assert!(text.contains("pad_cache_prefills\t4"));
-        // Prefills are speculative work, not demand lookups: they stay
-        // out of the hit ratio.
-        assert!(text.contains("pad_cache_hit_ratio\t0.750"));
-        // An empty cache divides safely.
-        let mut out = Vec::new();
-        PadCacheSummary::from(PadCacheStats::default()).write_to(&mut out).unwrap();
-        assert!(String::from_utf8(out).unwrap().contains("pad_cache_hit_ratio\t0.000"));
-    }
-
-    #[test]
-    fn store_summary_renders_every_row() {
-        let stats = StorePageStats {
+    fn totals_render_every_row_of_attached_subsystems() {
+        let render = |result: &SimResult| {
+            let mut out = Vec::new();
+            write_totals(&mut out, result).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(render(&SimResult::default()), "", "no subsystem, no rows");
+        let pad_cache = PadCacheStats { hits: 30, misses: 10, prefills: 4 };
+        let store = StorePageStats {
             page_faults: 40,
             page_evictions: 36,
             pages_flushed: 30,
             resident_bytes: 4_608,
             peak_resident_bytes: 9_216,
         };
-        let mut out = Vec::new();
-        StoreSummary::from(stats).write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("store_page_faults\t40"));
-        assert!(text.contains("store_page_evictions\t36"));
-        assert!(text.contains("store_pages_flushed\t30"));
-        assert!(text.contains("store_resident_bytes\t4608"));
-        assert!(text.contains("store_peak_resident_bytes\t9216"));
+        let cached = |stats| SimResult { pad_cache: Some(stats), ..SimResult::default() };
+        let paged = SimResult { store: Some(store), ..SimResult::default() };
+        for (result, rows) in [(cached(pad_cache), &pad_cache.rows()[..]), (paged, &store.rows())] {
+            let text = render(&result);
+            for (name, value) in rows {
+                assert!(text.contains(&format!("{name}\t{value}\n")), "{text}");
+            }
+            assert_eq!(text.contains("pad_cache_hit_ratio"), result.pad_cache.is_some());
+        }
+        // Prefills stay out of the hit ratio, and an empty cache divides
+        // safely.
+        assert!(render(&cached(pad_cache)).contains("pad_cache_hit_ratio\t0.750\n"));
+        let empty = render(&cached(PadCacheStats::default()));
+        assert!(empty.contains("pad_cache_hit_ratio\t0.000\n"));
     }
 
     #[test]

@@ -30,6 +30,38 @@ pub use commands::{aes_backend, compare, gen, merge, report, run, serve, stats, 
 pub use watch::watch;
 pub use format::{FaultSummary, RunSummary, METRIC_HEADER};
 
+/// A scratch directory for one unit test, unique per test label,
+/// process and call (so concurrent `cargo test` runs never share one),
+/// and removed on drop even when the test fails.
+#[cfg(test)]
+pub(crate) struct ScratchDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl ScratchDir {
+    pub(crate) fn new(test: &str) -> Self {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "{test}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+
+    pub(crate) fn join(&self, name: impl AsRef<std::path::Path>) -> std::path::PathBuf {
+        self.0.join(name)
+    }
+}
+
+#[cfg(test)]
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 /// Entry point shared by the binary and tests.
 ///
 /// # Errors

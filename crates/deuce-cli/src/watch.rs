@@ -273,20 +273,12 @@ pub fn watch<W: Write>(args: &WatchArgs, out: &mut W) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "deuce-watch-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id(),
-        ));
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::ScratchDir;
 
     #[test]
     fn classifies_checkpoint_files_with_totals() {
-        let path = dir().join("cp.jsonl");
+        let dir = ScratchDir::new("deuce-watch");
+        let path = dir.join("cp.jsonl");
         fs::write(
             &path,
             "{\"type\":\"run_total\",\"events\":5000}\n\
@@ -303,7 +295,8 @@ mod tests {
 
     #[test]
     fn classifies_manifests_and_tolerates_torn_tails() {
-        let path = dir().join("m.jsonl");
+        let dir = ScratchDir::new("deuce-watch");
+        let path = dir.join("m.jsonl");
         fs::write(
             &path,
             "{\"manifest\":\"deuce-sweep\",\"version\":1,\"grid\":\"epoch x word\",\
@@ -320,7 +313,8 @@ mod tests {
 
     #[test]
     fn classifies_serve_streams_last_line_wins() {
-        let path = dir().join("serve.jsonl");
+        let dir = ScratchDir::new("deuce-watch");
+        let path = dir.join("serve.jsonl");
         fs::write(
             &path,
             "{\"type\":\"serve_progress\",\"submitted\":90,\"applied\":80,\
@@ -343,7 +337,8 @@ mod tests {
 
     #[test]
     fn serve_stream_completes_when_applied_reaches_total() {
-        let path = dir().join("serve-done.jsonl");
+        let dir = ScratchDir::new("deuce-watch");
+        let path = dir.join("serve-done.jsonl");
         fs::write(
             &path,
             "{\"type\":\"serve_progress\",\"submitted\":200,\"applied\":200,\
@@ -365,7 +360,7 @@ mod tests {
 
     #[test]
     fn once_snapshot_is_deterministic() {
-        let d = dir();
+        let d = ScratchDir::new("deuce-watch");
         let path = d.join("full.jsonl");
         fs::write(
             &path,
@@ -392,7 +387,7 @@ mod tests {
 
     #[test]
     fn live_watch_exits_when_all_sources_complete() {
-        let d = dir();
+        let d = ScratchDir::new("deuce-watch");
         let path = d.join("live.jsonl");
         fs::write(
             &path,

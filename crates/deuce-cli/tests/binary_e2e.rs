@@ -1,9 +1,39 @@
 //! End-to-end tests of the compiled `deuce` binary.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn deuce() -> Command {
     Command::new(env!("CARGO_BIN_EXE_deuce"))
+}
+
+/// A scratch directory for one test, unique per test label, process
+/// and call (so concurrent `cargo test` runs never share one), and
+/// removed on drop even when the test fails.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(test: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "{test}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+
+    fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 #[test]
@@ -32,8 +62,7 @@ fn bad_flag_fails_with_message() {
 
 #[test]
 fn full_pipeline_through_the_binary() {
-    let dir = std::env::temp_dir().join("deuce-bin-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("deuce-bin-e2e");
     let trace = dir.join("pipeline.trace");
     let trace_str = trace.to_str().unwrap();
 
@@ -63,14 +92,11 @@ fn full_pipeline_through_the_binary() {
         .expect("sweep runs");
     assert!(output.status.success());
     assert_eq!(String::from_utf8(output.stdout).unwrap().lines().count(), 17);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn streamed_run_matches_materialised_through_the_binary() {
-    let dir = std::env::temp_dir().join("deuce-bin-stream-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("deuce-bin-stream-e2e");
     let trace = dir.join("s.jsonl");
     let trace_str = trace.to_str().unwrap();
 
@@ -95,14 +121,11 @@ fn streamed_run_matches_materialised_through_the_binary() {
         .expect("run --stream runs");
     assert!(streamed.status.success());
     assert_eq!(streamed.stdout, materialised.stdout, "streaming must not change results");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sharded_sweep_through_the_binary() {
-    let dir = std::env::temp_dir().join("deuce-bin-shard-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("deuce-bin-shard-e2e");
     let m0 = dir.join("m0.jsonl");
     let m1 = dir.join("m1.jsonl");
     let base = ["--benchmark", "mcf", "--writes", "300", "--lines", "32", "--seed", "5"];
@@ -149,14 +172,11 @@ fn sharded_sweep_through_the_binary() {
         .expect("merge runs");
     assert!(merged.status.success());
     assert_eq!(merged.stdout, unsharded.stdout, "resumed shard still merges identically");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn paged_store_kill_and_resume_through_the_binary() {
-    let dir = std::env::temp_dir().join("deuce-bin-paged-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("deuce-bin-paged-e2e");
     let trace = dir.join("p.jsonl");
     let pages = dir.join("p.pages");
     let cp = dir.join("p.cp");
@@ -221,14 +241,11 @@ fn paged_store_kill_and_resume_through_the_binary() {
     assert!(!arena.status.success(), "arena resume must fail against a paged checkpoint");
     let err = String::from_utf8(arena.stderr).unwrap();
     assert!(err.contains("flush"), "{err}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn telemetry_run_and_report_through_the_binary() {
-    let dir = std::env::temp_dir().join("deuce-bin-telemetry-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("deuce-bin-telemetry-e2e");
     let jsonl = dir.join("run.jsonl");
     let jsonl_str = jsonl.to_str().unwrap();
 
@@ -261,6 +278,4 @@ fn telemetry_run_and_report_through_the_binary() {
     assert!(text.contains("== run DEUCE"), "{text}");
     assert!(text.contains("flips/write histogram:"));
     assert!(text.contains("time series (one row per 64 writes"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }

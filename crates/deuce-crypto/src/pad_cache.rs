@@ -22,6 +22,19 @@ pub struct PadCacheStats {
     pub prefills: u64,
 }
 
+impl PadCacheStats {
+    /// The end-of-run totals as `(name, value)` rows — the one place
+    /// the `pad_cache_*` export names are spelled.
+    #[must_use]
+    pub fn rows(&self) -> [(&'static str, u64); 3] {
+        [
+            ("pad_cache_hits", self.hits),
+            ("pad_cache_misses", self.misses),
+            ("pad_cache_prefills", self.prefills),
+        ]
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     addr: u64,

@@ -42,6 +42,21 @@ pub struct StorePageStats {
     pub peak_resident_bytes: u64,
 }
 
+impl StorePageStats {
+    /// The end-of-run totals as `(name, value)` rows — the one place
+    /// the `store_*` export names are spelled.
+    #[must_use]
+    pub fn rows(&self) -> [(&'static str, u64); 5] {
+        [
+            ("store_page_faults", self.page_faults),
+            ("store_page_evictions", self.page_evictions),
+            ("store_pages_flushed", self.pages_flushed),
+            ("store_resident_bytes", self.resident_bytes),
+            ("store_peak_resident_bytes", self.peak_resident_bytes),
+        ]
+    }
+}
+
 /// Slot storage for a [`crate::LineStore`]: an append-only dense slot
 /// space whose segments are reachable only through pin-scoped closures.
 ///

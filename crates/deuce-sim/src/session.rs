@@ -23,7 +23,7 @@ use deuce_schemes::{
     StateCodec, StorePageStats, WriteOutcome,
 };
 use deuce_telemetry::{
-    FaultObservation, FlightEvent, Gauge, NullRecorder, Recorder, StoreTelemetry, WriteObservation,
+    FaultObservation, FlightEvent, Gauge, NullRecorder, Recorder, WriteObservation,
 };
 use deuce_trace::TraceEvent;
 use deuce_wear::{HorizontalWearLeveler, HwlMode, SecurityRefresh, StartGap};
@@ -474,17 +474,6 @@ where
             return Err(RunError::Store(error));
         }
         self.result.store = self.pipeline.schemes.store.paging_stats();
-        if R::ENABLED {
-            if let Some(stats) = &self.result.store {
-                rec.store_totals(&StoreTelemetry {
-                    page_faults: stats.page_faults,
-                    page_evictions: stats.page_evictions,
-                    pages_flushed: stats.pages_flushed,
-                    resident_bytes: stats.resident_bytes,
-                    peak_resident_bytes: stats.peak_resident_bytes,
-                });
-            }
-        }
         if let Some(wear) = self.pipeline.wear {
             // Fold the repair ladder's self-measured wall time in as a
             // child of the wear stage before the state is consumed.
@@ -529,11 +518,14 @@ where
                 prefills: end.prefills - start.prefills,
             };
             self.result.pad_cache = Some(stats);
-            if R::ENABLED {
-                rec.pad_cache_totals(stats.hits, stats.misses, stats.prefills);
-            }
         }
         if R::ENABLED {
+            if let Some(stats) = &self.result.pad_cache {
+                rec.totals(&stats.rows());
+            }
+            if let Some(stats) = &self.result.store {
+                rec.totals(&stats.rows());
+            }
             rec.aes_backend(self.result.aes_backend.name());
             rec.gauge(Gauge::ExecTimeNs, self.result.exec_time_ns);
             rec.gauge(Gauge::EnergyPj, self.result.energy_pj());
@@ -563,11 +555,6 @@ where
             }
         }
         Ok(self.result)
-    }
-
-    /// Whether a pad cache is attached to this session's engine.
-    pub(crate) fn pad_cache_attached(&self) -> bool {
-        self.pad_cache_start.is_some()
     }
 }
 

@@ -409,16 +409,8 @@ where
             source.cores(),
             wants_spans,
         );
-        if R::ENABLED {
-            if session.result().faults.is_some() {
-                rec.fault_injection_active();
-            }
-            if session.pad_cache_attached() {
-                rec.pad_cache_active();
-            }
-            if matches!(self.config.store, StoreBackend::File(_)) {
-                rec.store_paging_active();
-            }
+        if R::ENABLED && session.result().faults.is_some() {
+            rec.fault_injection_active();
         }
 
         let mut last_emitted: Option<u64> = None;

@@ -135,19 +135,13 @@ pub fn write_jsonl<W: Write>(
             )?;
         }
     }
-    // Pad-cache counters exist only for runs that attach the pad cache,
-    // so cache-free exports are byte-identical to pre-cache builds.
-    if let Some(pad_cache) = recorder.pad_cache() {
-        for (name, value) in [
-            ("pad_cache_hits", pad_cache.hits),
-            ("pad_cache_misses", pad_cache.misses),
-            ("pad_cache_prefills", pad_cache.prefills),
-        ] {
-            writeln!(
-                out,
-                "{{\"type\":\"counter\",\"run\":\"{run}\",\"name\":\"{name}\",\"value\":{value}}}",
-            )?;
-        }
+    // Subsystem totals (pad cache, paged store) exist only for runs
+    // that attach the subsystem, so exports without one are unchanged.
+    for (name, value) in recorder.total_rows() {
+        writeln!(
+            out,
+            "{{\"type\":\"counter\",\"run\":\"{run}\",\"name\":\"{name}\",\"value\":{value}}}",
+        )?;
     }
     // The AES dispatch record exists only for runs that reported a
     // tier, so exports fed by pre-dispatch drivers are byte-identical.
@@ -156,23 +150,6 @@ pub fn write_jsonl<W: Write>(
             out,
             "{{\"type\":\"aes_backend\",\"run\":\"{run}\",\"backend\":\"{backend}\"}}",
         )?;
-    }
-    // Store-paging counters exist only for runs that page the line
-    // store, so arena-backed exports are byte-identical to pre-paging
-    // builds.
-    if let Some(store) = recorder.store() {
-        for (name, value) in [
-            ("store_page_faults", store.page_faults),
-            ("store_page_evictions", store.page_evictions),
-            ("store_pages_flushed", store.pages_flushed),
-            ("store_resident_bytes", store.resident_bytes),
-            ("store_peak_resident_bytes", store.peak_resident_bytes),
-        ] {
-            writeln!(
-                out,
-                "{{\"type\":\"counter\",\"run\":\"{run}\",\"name\":\"{name}\",\"value\":{value}}}",
-            )?;
-        }
     }
     for sample in recorder.samples() {
         writeln!(
@@ -277,17 +254,8 @@ pub fn write_csv<W: Write>(
         }
         writeln!(out, "{run},ecp_entries_used_mean,{}", json_num(faults.ecp_used_hist.mean()))?;
     }
-    if let Some(pad_cache) = recorder.pad_cache() {
-        writeln!(out, "{run},pad_cache_hits,{}", pad_cache.hits)?;
-        writeln!(out, "{run},pad_cache_misses,{}", pad_cache.misses)?;
-        writeln!(out, "{run},pad_cache_prefills,{}", pad_cache.prefills)?;
-    }
-    if let Some(store) = recorder.store() {
-        writeln!(out, "{run},store_page_faults,{}", store.page_faults)?;
-        writeln!(out, "{run},store_page_evictions,{}", store.page_evictions)?;
-        writeln!(out, "{run},store_pages_flushed,{}", store.pages_flushed)?;
-        writeln!(out, "{run},store_resident_bytes,{}", store.resident_bytes)?;
-        writeln!(out, "{run},store_peak_resident_bytes,{}", store.peak_resident_bytes)?;
+    for (name, value) in recorder.total_rows() {
+        writeln!(out, "{run},{name},{value}")?;
     }
     writeln!(out, "{run},series_samples,{}", recorder.samples().len())
 }
@@ -296,6 +264,8 @@ pub fn write_csv<W: Write>(
 mod tests {
     use super::*;
     use crate::recorder::{Recorder, TelemetryConfig, WriteObservation};
+    use deuce_crypto::PadCacheStats;
+    use deuce_schemes::StorePageStats;
 
     fn sample_recorder() -> TelemetryRecorder {
         let mut r = TelemetryRecorder::new(TelemetryConfig {
@@ -400,30 +370,38 @@ mod tests {
     }
 
     #[test]
-    fn pad_cache_section_appears_only_for_cached_runs() {
-        // Cache-free: no pad-cache counters anywhere.
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, "plain", &sample_recorder()).unwrap();
-        let plain = String::from_utf8(buf).unwrap();
-        assert!(!plain.contains("pad_cache_"), "cache-free export must be unchanged");
-
-        let mut r = sample_recorder();
-        r.pad_cache_active();
-        r.pad_cache_totals(40, 8, 6);
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, "cached", &r).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"name\":\"pad_cache_hits\",\"value\":40"));
-        assert!(text.contains("\"name\":\"pad_cache_misses\",\"value\":8"));
-        assert!(text.contains("\"name\":\"pad_cache_prefills\",\"value\":6"));
-        assert!(crate::parse::parse_jsonl(&text).is_ok());
-
-        let mut buf = Vec::new();
-        write_csv(&mut buf, "cached", &r).unwrap();
-        let csv = String::from_utf8(buf).unwrap();
-        assert!(csv.contains("cached,pad_cache_hits,40"));
-        assert!(csv.contains("cached,pad_cache_misses,8"));
-        assert!(csv.contains("cached,pad_cache_prefills,6"));
+    fn totals_rows_appear_only_for_attached_subsystems() {
+        let pad_cache = PadCacheStats { hits: 40, misses: 8, prefills: 6 }.rows();
+        let store = StorePageStats {
+            page_faults: 20,
+            page_evictions: 11,
+            pages_flushed: 13,
+            resident_bytes: 9216,
+            peak_resident_bytes: 18_432,
+        }
+        .rows();
+        let export = |r: &TelemetryRecorder| {
+            let (mut jsonl, mut csv) = (Vec::new(), Vec::new());
+            write_jsonl(&mut jsonl, "run", r).unwrap();
+            write_csv(&mut csv, "run", r).unwrap();
+            (String::from_utf8(jsonl).unwrap(), String::from_utf8(csv).unwrap())
+        };
+        for rows in [&pad_cache[..], &store[..]] {
+            // Without the subsystem: none of its rows anywhere.
+            let (jsonl, csv) = export(&sample_recorder());
+            for (name, _) in rows {
+                assert!(!jsonl.contains(name) && !csv.contains(name), "{name} leaked");
+            }
+            // With it: every row, in JSONL and CSV, and the JSONL parses.
+            let mut r = sample_recorder();
+            r.totals(rows);
+            let (jsonl, csv) = export(&r);
+            for (name, value) in rows {
+                assert!(jsonl.contains(&format!("\"name\":\"{name}\",\"value\":{value}}}")));
+                assert!(csv.contains(&format!("run,{name},{value}\n")), "{csv}");
+            }
+            assert!(crate::parse::parse_jsonl(&jsonl).is_ok());
+        }
     }
 
     #[test]
@@ -448,43 +426,6 @@ mod tests {
         let events = crate::parse::parse_jsonl(&text).unwrap();
         let rec = events.iter().find(|e| e.kind() == "aes_backend").unwrap();
         assert_eq!(rec.str("backend"), Some("hw"));
-    }
-
-    #[test]
-    fn store_section_appears_only_for_paged_runs() {
-        use crate::recorder::StoreTelemetry;
-        // Arena-backed: no store counters anywhere.
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, "plain", &sample_recorder()).unwrap();
-        let plain = String::from_utf8(buf).unwrap();
-        assert!(
-            !plain.contains("store_page") && !plain.contains("store_resident"),
-            "arena-backed export must be unchanged"
-        );
-
-        let mut r = sample_recorder();
-        r.store_paging_active();
-        r.store_totals(&StoreTelemetry {
-            page_faults: 20,
-            page_evictions: 11,
-            pages_flushed: 13,
-            resident_bytes: 9216,
-            peak_resident_bytes: 18_432,
-        });
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, "paged", &r).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"name\":\"store_page_faults\",\"value\":20"));
-        assert!(text.contains("\"name\":\"store_page_evictions\",\"value\":11"));
-        assert!(text.contains("\"name\":\"store_pages_flushed\",\"value\":13"));
-        assert!(text.contains("\"name\":\"store_peak_resident_bytes\",\"value\":18432"));
-        assert!(crate::parse::parse_jsonl(&text).is_ok());
-
-        let mut buf = Vec::new();
-        write_csv(&mut buf, "paged", &r).unwrap();
-        let csv = String::from_utf8(buf).unwrap();
-        assert!(csv.contains("paged,store_page_faults,20"));
-        assert!(csv.contains("paged,store_resident_bytes,9216"));
     }
 
     #[test]
@@ -536,8 +477,7 @@ mod tests {
             uncorrectable: true,
         });
         r.ecp_entries_used(1);
-        r.pad_cache_active();
-        r.pad_cache_totals(40, 8, 6);
+        r.totals(&PadCacheStats { hits: 40, misses: 8, prefills: 6 }.rows());
         r.aes_backend("ttable");
         r.span_begin("run");
         r.stage_ns(Stage::Counter, 90);

@@ -216,39 +216,6 @@ pub struct FaultTelemetry {
     pub first_uncorrectable: Option<(u64, f64)>,
 }
 
-/// Pad-cache telemetry, materialised only when a run attaches the
-/// line-pad cache so cache-free exports stay byte-identical to
-/// pre-cache builds (the same gating discipline as [`FaultTelemetry`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PadCacheTelemetry {
-    /// Line-pad lookups answered from the cache (AES skipped).
-    pub hits: u64,
-    /// Line-pad lookups that fell through to AES pad generation.
-    pub misses: u64,
-    /// Pads generated speculatively ahead of demand (next-epoch
-    /// prefills); counted as neither hit nor miss.
-    pub prefills: u64,
-}
-
-/// Store-paging telemetry, materialised only when a run uses a paged
-/// line-store backend so arena-backed exports stay byte-identical to
-/// pre-paging builds (the same gating discipline as [`FaultTelemetry`]
-/// and [`PadCacheTelemetry`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreTelemetry {
-    /// Page-cache misses that materialised a page (fresh or reloaded).
-    pub page_faults: u64,
-    /// Pages evicted from the resident cache.
-    pub page_evictions: u64,
-    /// Dirty pages written back to the page file (evictions plus the
-    /// end-of-run flush).
-    pub pages_flushed: u64,
-    /// Line-store bytes resident in RAM at end of run.
-    pub resident_bytes: u64,
-    /// Highest resident-byte watermark observed during the run.
-    pub peak_resident_bytes: u64,
-}
-
 /// An instrumentation sink. All hooks have empty default bodies, so a
 /// sink only overrides what it collects; `ENABLED == false` promises
 /// every hook is a no-op and lets call sites skip argument
@@ -302,14 +269,11 @@ pub trait Recorder {
         let _ = entries;
     }
 
-    /// Announces that the run attaches a line-pad cache, so pad-cache
-    /// telemetry is collected (and exported) even if no lookup ever
-    /// hits.
-    fn pad_cache_active(&mut self) {}
-
-    /// Sets the run's end-of-run pad-cache hit/miss/prefill totals.
-    fn pad_cache_totals(&mut self, hits: u64, misses: u64, prefills: u64) {
-        let _ = (hits, misses, prefills);
+    /// Appends a subsystem's end-of-run totals as `(name, value)`
+    /// rows. Called once per attached subsystem (pad cache, paged
+    /// store), so runs without one export no rows for it.
+    fn totals(&mut self, rows: &[(&'static str, u64)]) {
+        let _ = rows;
     }
 
     /// Records which AES dispatch tier generated this run's pads. A
@@ -317,16 +281,6 @@ pub trait Recorder {
     /// simulated depends on it.
     fn aes_backend(&mut self, backend: &'static str) {
         let _ = backend;
-    }
-
-    /// Announces that the run pages its line store out of core, so
-    /// store-paging telemetry is collected (and exported) even if no
-    /// page ever faults.
-    fn store_paging_active(&mut self) {}
-
-    /// Sets the run's end-of-run store-paging totals.
-    fn store_totals(&mut self, totals: &StoreTelemetry) {
-        let _ = totals;
     }
 
     /// Whether this sink collects hierarchical spans. Callers use this
@@ -408,8 +362,7 @@ pub struct TelemetryRecorder {
     stage_hists: [Histogram; Stage::ALL.len()],
     series: SeriesSampler,
     faults: Option<FaultTelemetry>,
-    pad_cache: Option<PadCacheTelemetry>,
-    store: Option<StoreTelemetry>,
+    totals: Vec<(&'static str, u64)>,
     aes_backend: Option<&'static str>,
     spans: Option<SpanTrace>,
     flight: Option<FlightRecorder>,
@@ -435,8 +388,7 @@ impl TelemetryRecorder {
             stage_hists: std::array::from_fn(|_| Histogram::new()),
             series: SeriesSampler::new(config.sample_every, config.energy_pj_per_flip),
             faults: None,
-            pad_cache: None,
-            store: None,
+            totals: Vec::new(),
             aes_backend: None,
             spans: None,
             flight: None,
@@ -514,18 +466,11 @@ impl TelemetryRecorder {
         self.faults.as_ref()
     }
 
-    /// Pad-cache telemetry, present only if the run announced a pad
-    /// cache (or totals arrived).
+    /// Subsystem totals rows, in the order they were reported (empty
+    /// when the run attached no pad cache or paged store).
     #[must_use]
-    pub fn pad_cache(&self) -> Option<&PadCacheTelemetry> {
-        self.pad_cache.as_ref()
-    }
-
-    /// Store-paging telemetry, present only if the run announced a
-    /// paged store (or totals arrived).
-    #[must_use]
-    pub fn store(&self) -> Option<&StoreTelemetry> {
-        self.store.as_ref()
+    pub fn total_rows(&self) -> &[(&'static str, u64)] {
+        &self.totals
     }
 
     /// The AES dispatch tier the run reported, if any (the same gating
@@ -605,27 +550,12 @@ impl Recorder for TelemetryRecorder {
         faults.ecp_used_hist.record(entries);
     }
 
-    fn pad_cache_active(&mut self) {
-        self.pad_cache.get_or_insert_with(PadCacheTelemetry::default);
-    }
-
-    fn pad_cache_totals(&mut self, hits: u64, misses: u64, prefills: u64) {
-        let cache = self.pad_cache.get_or_insert_with(PadCacheTelemetry::default);
-        cache.hits = hits;
-        cache.misses = misses;
-        cache.prefills = prefills;
+    fn totals(&mut self, rows: &[(&'static str, u64)]) {
+        self.totals.extend_from_slice(rows);
     }
 
     fn aes_backend(&mut self, backend: &'static str) {
         self.aes_backend = Some(backend);
-    }
-
-    fn store_paging_active(&mut self) {
-        self.store.get_or_insert_with(StoreTelemetry::default);
-    }
-
-    fn store_totals(&mut self, totals: &StoreTelemetry) {
-        *self.store.get_or_insert_with(StoreTelemetry::default) = *totals;
     }
 
     fn wants_spans(&self) -> bool {
@@ -670,6 +600,8 @@ impl Recorder for TelemetryRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deuce_crypto::PadCacheStats;
+    use deuce_schemes::StorePageStats;
 
     #[test]
     fn null_recorder_is_disabled_and_inert() {
@@ -731,16 +663,24 @@ mod tests {
     }
 
     #[test]
-    fn pad_cache_telemetry_absent_until_announced() {
-        let mut r = TelemetryRecorder::default();
-        assert!(r.pad_cache().is_none(), "cache-free runs carry no pad-cache section");
-        r.pad_cache_active();
-        assert_eq!(r.pad_cache(), Some(&PadCacheTelemetry::default()));
-        r.pad_cache_totals(12, 3, 5);
-        assert_eq!(
-            r.pad_cache(),
-            Some(&PadCacheTelemetry { hits: 12, misses: 3, prefills: 5 })
-        );
+    fn totals_absent_until_reported_then_kept_in_call_order() {
+        let pad_cache = PadCacheStats { hits: 12, misses: 3, prefills: 5 }.rows();
+        let store = StorePageStats {
+            page_faults: 12,
+            page_evictions: 7,
+            pages_flushed: 9,
+            resident_bytes: 4096,
+            peak_resident_bytes: 8192,
+        }
+        .rows();
+        for sections in [vec![&pad_cache[..]], vec![&store[..]], vec![&pad_cache[..], &store[..]]] {
+            let mut r = TelemetryRecorder::default();
+            assert!(r.total_rows().is_empty(), "runs without a subsystem carry no rows");
+            for rows in &sections {
+                r.totals(rows);
+            }
+            assert_eq!(r.total_rows(), sections.concat());
+        }
     }
 
     #[test]
@@ -749,23 +689,6 @@ mod tests {
         assert!(r.aes_backend_name().is_none(), "pre-dispatch exports stay unchanged");
         r.aes_backend("ttable");
         assert_eq!(r.aes_backend_name(), Some("ttable"));
-    }
-
-    #[test]
-    fn store_telemetry_absent_until_announced() {
-        let mut r = TelemetryRecorder::default();
-        assert!(r.store().is_none(), "arena-backed runs carry no store section");
-        r.store_paging_active();
-        assert_eq!(r.store(), Some(&StoreTelemetry::default()));
-        let totals = StoreTelemetry {
-            page_faults: 12,
-            page_evictions: 7,
-            pages_flushed: 9,
-            resident_bytes: 4096,
-            peak_resident_bytes: 8192,
-        };
-        r.store_totals(&totals);
-        assert_eq!(r.store(), Some(&totals));
     }
 
     #[test]

@@ -126,6 +126,26 @@ grep -v '^store_\|^line_store_bytes' "$SMOKE_DIR/paged.tiny" \
 evictions="$(awk -F'\t' '$1 == "store_page_evictions" {print $2}' "$SMOKE_DIR/paged.tiny")"
 [ -n "$evictions" ] && [ "$evictions" -gt 0 ]
 
+echo "==> combined-sections smoke test (faults + pad cache + page store vs goldens)"
+# One run attaching every optional section at once: fault injection,
+# the pad cache, and a 1-page store. Its stdout, report, CSV and JSONL
+# diff against goldens once the wall-clock and host-dependent lines
+# (the telemetry path, the AES tier, profile/span records) are removed.
+"$DEUCE" gen --benchmark mcf --writes 2000 --lines 192 --seed 9 \
+    -o "$SMOKE_DIR/sections.trace" > /dev/null
+"$DEUCE" run --trace "$SMOKE_DIR/sections.trace" --scheme dyndeuce --pad-cache 256 \
+    --store-file "$SMOKE_DIR/sections.pages" --resident-pages 1 \
+    --faults --endurance-scale 2e-8 --ecp-entries 2 --spare-lines 4 \
+    --telemetry "$SMOKE_DIR/sections.jsonl" --sample-every 256 > "$SMOKE_DIR/sections.out"
+grep -v "^telemetry$(printf '\t')\|^aes_backend$(printf '\t')" "$SMOKE_DIR/sections.out" \
+    | diff -u results/telemetry/golden_sections_run.txt -
+"$DEUCE" report "$SMOKE_DIR/sections.jsonl" > "$SMOKE_DIR/sections.report"
+awk '/^== profiling/{exit} {print}' "$SMOKE_DIR/sections.report" \
+    | diff -u results/telemetry/golden_sections_report.txt -
+diff -u results/telemetry/golden_sections.csv "$SMOKE_DIR/sections.csv"
+grep -v '"type":"profile"\|"type":"span"\|"type":"aes_backend"' "$SMOKE_DIR/sections.jsonl" \
+    | diff -u results/telemetry/golden_sections.jsonl -
+
 echo "==> observability smoke test (span trace, watch --once, flight dump vs golden)"
 # Span tracing: the exported file is Chrome trace-event JSON
 # (Perfetto-loadable); timings are wall-clock so only shape is checked.

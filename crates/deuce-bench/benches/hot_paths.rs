@@ -9,7 +9,7 @@ use deuce_nvm::{write_slots, LineImage, MetaBits, SlotConfig};
 use deuce_schemes::{fnw_encode, DeuceLine, DeuceScheme, SchemeConfig, SchemeKind, SchemeLine, WordSize};
 use deuce_sim::{SimConfig, Simulator};
 use deuce_telemetry::{NullRecorder, TelemetryRecorder};
-use deuce_trace::{Benchmark, TraceConfig};
+use deuce_trace::{Benchmark, TraceConfig, WriteSource};
 use deuce_wear::StartGap;
 
 fn bench_aes_block(c: &mut Harness) {
@@ -149,6 +149,25 @@ fn bench_scheme_writes(c: &mut Harness) {
             });
         });
     }
+    // DEUCE at the finest and coarsest tracking granularity (the
+    // default case above is 2-byte words).
+    for (label, word_size) in [
+        ("DEUCE-w1", WordSize::Bytes1),
+        ("DEUCE-w8", WordSize::Bytes8),
+    ] {
+        group.bench_function(label, |b| {
+            let config = SchemeConfig::new(SchemeKind::Deuce).with_word_size(word_size);
+            let mut line = SchemeLine::new(&config, &engine, LineAddr::new(1), &[0u8; 64]);
+            let mut data = [0u8; 64];
+            let mut i = 0u64;
+            b.iter(|| {
+                i += 1;
+                data[0] = i as u8;
+                data[17] = (i >> 8) as u8;
+                line.write(&engine, black_box(&data))
+            });
+        });
+    }
     group.finish();
 }
 
@@ -192,6 +211,19 @@ fn bench_write_slots(c: &mut Harness) {
 
 fn bench_trace_generation(c: &mut Harness) {
     let mut group = c.benchmark_group("trace_gen");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("mcf_stream", |b| {
+        // Steady state: the generator is built once, outside the timed
+        // loop, and each iteration pulls one event from an unbounded
+        // stream over the perfbench-sized working set.
+        let mut stream = TraceConfig::new(Benchmark::Mcf)
+            .lines(65_536)
+            .cores(4)
+            .writes(usize::MAX)
+            .seed(1)
+            .stream();
+        b.iter(|| stream.next_event());
+    });
     group.throughput(Throughput::Elements(1_000));
     group.bench_function("libq_1k_writes", |b| {
         let mut seed = 0u64;

@@ -223,9 +223,13 @@ impl LineImage {
     pub fn flips_to(&self, new: &Self) -> FlipCount {
         let data = self
             .data
-            .iter()
-            .zip(&new.data)
-            .map(|(a, b)| (a ^ b).count_ones())
+            .chunks_exact(8)
+            .zip(new.data.chunks_exact(8))
+            .map(|(a, b)| {
+                let a = u64::from_le_bytes(a.try_into().expect("8-byte chunk"));
+                let b = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+                (a ^ b).count_ones()
+            })
             .sum();
         FlipCount {
             data,

@@ -10,7 +10,7 @@ use deuce_crypto::{EpochInterval, LineAddr, LineBytes, OtpEngine, VirtualCounter
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::{assert_counter_width, prefill_next_epoch_pad, CtrState};
+use crate::core::{assert_counter_width, mark_modified_words, prefill_next_epoch_pad, CtrState};
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
 
@@ -119,12 +119,7 @@ impl LineScheme for DeuceFnwScheme {
                 Self::store_word_fnw(line.stored, &mut meta, word, &cipher[..w]);
             }
         } else {
-            for word in 0..Self::WORD.words_per_line() {
-                let range = word * w..(word + 1) * w;
-                if data[range.clone()] != line.shadow[range] {
-                    meta.set(word as u32, true);
-                }
-            }
+            mark_modified_words(&mut meta, Self::WORD, line.shadow, data);
             let pad = engine.line_pad(addr, v.lctr());
             for word in 0..Self::WORD.words_per_line() {
                 if meta.get(word as u32) {

@@ -12,7 +12,10 @@ use deuce_crypto::{EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, VirtualCo
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::{assert_counter_width, prefill_next_epoch_pad, CtrState};
+use crate::core::{
+    assert_counter_width, dual_pad_read, mark_modified_words, prefill_next_epoch_pad,
+    reencrypt_marked_words, CtrState,
+};
 use crate::fnw::{fnw_decode, fnw_encode};
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
@@ -79,22 +82,10 @@ impl DynDeuceScheme {
         state: &DynDeuceState,
         data: &LineBytes,
     ) -> (LineBytes, MetaBits) {
-        let w = Self::WORD.bytes();
         let mut modified = Self::tracking_bits(state);
-        for word in 0..Self::WORD.words_per_line() {
-            let range = word * w..(word + 1) * w;
-            if data[range.clone()] != shadow[range] {
-                modified.set(word as u32, true);
-            }
-        }
+        mark_modified_words(&mut modified, Self::WORD, shadow, data);
         let mut candidate = *stored;
-        for word in 0..Self::WORD.words_per_line() {
-            if modified.get(word as u32) {
-                for (offset, i) in (word * w..(word + 1) * w).enumerate() {
-                    candidate[i] = data[i] ^ pad.word(word, w)[offset];
-                }
-            }
-        }
+        reencrypt_marked_words(&mut candidate, data, pad, &modified, Self::WORD);
         (candidate, MetaBits::from_raw(modified.raw(), 33)) // mode bit stays 0
     }
 
@@ -198,20 +189,13 @@ impl LineScheme for DynDeuceScheme {
             engine.line_pad(addr, v.lctr()).xor(&ciphertext)
         } else {
             let (pad_lctr, pad_tctr) = engine.line_pad_pair(addr, v.lctr(), v.tctr());
-            let w = Self::WORD.bytes();
-            let tracking = Self::tracking_bits(line.state);
-            let mut out = [0u8; deuce_crypto::LINE_BYTES];
-            for word in 0..Self::WORD.words_per_line() {
-                let pad = if tracking.get(word as u32) {
-                    pad_lctr.word(word, w)
-                } else {
-                    pad_tctr.word(word, w)
-                };
-                for (offset, i) in (word * w..(word + 1) * w).enumerate() {
-                    out[i] = line.stored[i] ^ pad[offset];
-                }
-            }
-            out
+            dual_pad_read(
+                line.stored,
+                &Self::tracking_bits(line.state),
+                &pad_lctr,
+                &pad_tctr,
+                Self::WORD,
+            )
         }
     }
 

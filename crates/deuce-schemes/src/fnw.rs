@@ -12,7 +12,9 @@
 use deuce_crypto::{LineAddr, LineBytes, OtpEngine, LINE_BYTES};
 use deuce_nvm::{LineImage, MetaBits};
 
-use crate::core::{assert_counter_width, null_addr, null_engine, CtrState};
+use crate::core::{
+    assert_counter_width, from_lanes, lanes, null_addr, null_engine, CtrState, LaneWords, LANES,
+};
 use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
 use crate::WriteOutcome;
 
@@ -29,8 +31,11 @@ pub struct FnwEncoding {
 /// (`old_stored`, `old_flips`), choosing per-segment inversion to
 /// minimize total cell flips (data + flip bit).
 ///
-/// Ties prefer the *current* flip-bit value (no gratuitous metadata
-/// flips).
+/// A segment of `s` bits whose data differs from the stored bits in `n`
+/// places costs `n + old_flip` flips stored as-is and
+/// `(s - n) + (1 - old_flip)` stored inverted (`!l ^ o == !(l ^ o)`).
+/// The two costs sum to the odd `s + 1`, so they never tie: inverting
+/// wins exactly when `n + old_flip > s / 2`.
 ///
 /// # Panics
 ///
@@ -47,53 +52,60 @@ pub fn fnw_encode(
         segment_bits >= 8 && segment_bits.is_multiple_of(8) && (LINE_BYTES * 8).is_multiple_of(segment_bits as usize),
         "unsupported FNW segment width {segment_bits}"
     );
-    let seg_bytes = (segment_bits / 8) as usize;
-    let segments = LINE_BYTES / seg_bytes;
-    assert_eq!(old_flips.width(), segments as u32, "flip-bit width mismatch");
+    let segments = (LINE_BYTES * 8) as u32 / segment_bits;
+    assert_eq!(old_flips.width(), segments, "flip-bit width mismatch");
 
-    let mut stored = [0u8; LINE_BYTES];
-    let mut flip_bits = MetaBits::new(segments as u32);
-
-    for seg in 0..segments {
-        let range = seg * seg_bytes..(seg + 1) * seg_bytes;
-        let old_flip = old_flips.get(seg as u32);
-
-        let mut normal_flips = u32::from(old_flip); // flip bit 1 -> 0
-        let mut inverted_flips = u32::from(!old_flip); // flip bit 0 -> 1
-        for (l, o) in logical[range.clone()].iter().zip(&old_stored[range.clone()]) {
-            normal_flips += (l ^ o).count_ones();
-            inverted_flips += (!l ^ o).count_ones();
+    // Per-segment counts of differing bits, one popcount pass per lane.
+    let (new, old) = (lanes(logical), lanes(old_stored));
+    let diff: [u64; LANES] = core::array::from_fn(|i| new[i] ^ old[i]);
+    let old_flip = |seg: u32| (old_flips.raw() >> seg & 1) as u32;
+    let mut invert = 0u64;
+    match LaneWords::of_bits(segment_bits) {
+        Some(words) => {
+            for (i, &x) in diff.iter().enumerate() {
+                let counts = words.ones(x);
+                for j in 0..words.per_lane() {
+                    let seg = i as u32 * words.per_lane() + j;
+                    let n = (counts >> (j * segment_bits) & 0xFF) as u32;
+                    invert |= u64::from(n + old_flip(seg) > segment_bits / 2) << seg;
+                }
+            }
         }
-
-        // Strict comparison: on ties keep the normal/old-flip-preserving
-        // choice determined by which candidate preserves the flip bit.
-        let invert = if inverted_flips != normal_flips {
-            inverted_flips < normal_flips
-        } else {
-            old_flip
-        };
-        for (dst, src) in stored[range.clone()].iter_mut().zip(&logical[range]) {
-            *dst = if invert { !src } else { *src };
+        None => {
+            // Segments wider than a lane: sum whole-lane counts.
+            for (seg, group) in diff.chunks_exact(segment_bits as usize / 64).enumerate() {
+                let seg = seg as u32;
+                let n: u32 = group.iter().map(|x| x.count_ones()).sum();
+                invert |= u64::from(n + old_flip(seg) > segment_bits / 2) << seg;
+            }
         }
-        flip_bits.set(seg as u32, invert);
     }
 
-    FnwEncoding { stored, flip_bits }
+    FnwEncoding {
+        stored: apply_flips(logical, invert, segment_bits),
+        flip_bits: MetaBits::from_raw(invert, segments),
+    }
+}
+
+/// Inverts every segment of `line` whose bit is set in `flips`.
+fn apply_flips(line: &LineBytes, flips: u64, segment_bits: u32) -> LineBytes {
+    let words = LaneWords::of_bits(segment_bits);
+    let lanes_per_segment = (segment_bits / 64).max(1) as usize;
+    let lanes = lanes(line);
+    from_lanes(core::array::from_fn(|i| {
+        let mask = match words {
+            Some(words) => words.lane_mask(flips, i),
+            None if flips >> (i / lanes_per_segment) & 1 != 0 => u64::MAX,
+            None => 0,
+        };
+        lanes[i] ^ mask
+    }))
 }
 
 /// Decodes an FNW-stored line back to its logical value.
 #[must_use]
 pub fn fnw_decode(stored: &LineBytes, flip_bits: &MetaBits, segment_bits: u32) -> LineBytes {
-    let seg_bytes = (segment_bits / 8) as usize;
-    let mut logical = *stored;
-    for seg in 0..LINE_BYTES / seg_bytes {
-        if flip_bits.get(seg as u32) {
-            for b in &mut logical[seg * seg_bytes..(seg + 1) * seg_bytes] {
-                *b = !*b;
-            }
-        }
-    }
-    logical
+    apply_flips(stored, flip_bits.raw(), segment_bits)
 }
 
 /// Decodes a single stored segment given its flip bit (helper for
@@ -339,7 +351,68 @@ impl EncryptedFnwLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::tests::line_pair;
     use deuce_crypto::{LineAddr, OtpEngine, SecretKey};
+    use deuce_rng::{DeuceRng, Rng};
+
+    /// The byte-loop encoder the lane form replaced: two popcounts per
+    /// byte, ties broken toward the current flip bit.
+    fn fnw_encode_reference(
+        logical: &LineBytes,
+        old_stored: &LineBytes,
+        old_flips: &MetaBits,
+        segment_bits: u32,
+    ) -> FnwEncoding {
+        let seg_bytes = (segment_bits / 8) as usize;
+        let segments = LINE_BYTES / seg_bytes;
+        let mut stored = [0u8; LINE_BYTES];
+        let mut flip_bits = MetaBits::new(segments as u32);
+        for seg in 0..segments {
+            let range = seg * seg_bytes..(seg + 1) * seg_bytes;
+            let old_flip = old_flips.get(seg as u32);
+            let mut normal_flips = u32::from(old_flip);
+            let mut inverted_flips = u32::from(!old_flip);
+            for (l, o) in logical[range.clone()].iter().zip(&old_stored[range.clone()]) {
+                normal_flips += (l ^ o).count_ones();
+                inverted_flips += (!l ^ o).count_ones();
+            }
+            let invert = if inverted_flips != normal_flips {
+                inverted_flips < normal_flips
+            } else {
+                old_flip
+            };
+            for (dst, src) in stored[range.clone()].iter_mut().zip(&logical[range]) {
+                *dst = if invert { !src } else { *src };
+            }
+            flip_bits.set(seg as u32, invert);
+        }
+        FnwEncoding { stored, flip_bits }
+    }
+
+    #[test]
+    fn encode_matches_byte_loop_for_every_segment_width() {
+        let mut rng = DeuceRng::seed_from_u64(0xf1f0);
+        for segment_bits in [8u32, 16, 32, 64, 128, 256, 512] {
+            let segments = 512 / segment_bits;
+            let width_mask = u64::MAX >> (64 - segments);
+            for changes in [0, 1, 8, 32, 64, 256] {
+                for _ in 0..40 {
+                    let (old, mut new) = line_pair(&mut rng, changes);
+                    if rng.gen_bool(0.3) {
+                        // Dense rewrites: most segments prefer inversion.
+                        for b in &mut new {
+                            *b = !*b ^ (rng.gen::<u8>() & rng.gen::<u8>() & rng.gen::<u8>());
+                        }
+                    }
+                    let flips = MetaBits::from_raw(rng.gen::<u64>() & width_mask, segments);
+                    let lane = fnw_encode(&new, &old, &flips, segment_bits);
+                    let byte = fnw_encode_reference(&new, &old, &flips, segment_bits);
+                    assert_eq!(lane, byte, "{segment_bits}-bit segments, {changes} changes");
+                    assert_eq!(fnw_decode(&lane.stored, &lane.flip_bits, segment_bits), new);
+                }
+            }
+        }
+    }
 
     #[test]
     fn encode_decode_roundtrip() {

@@ -191,12 +191,76 @@ impl WriteSource for GeneratorSource {
     }
 }
 
+/// A line's hot-word footprint, stored inline: word indices in
+/// insertion order. Drift removes words and appends new ones, and draws
+/// index into this order, so it must be kept.
+#[derive(Debug, Clone, Copy)]
+struct HotWords {
+    words: [u8; WORDS],
+    len: u8,
+}
+
+impl HotWords {
+    /// The distinct `words` in ascending order.
+    fn sorted(words: &mut [u8]) -> Self {
+        words.sort_unstable();
+        let mut hot = Self {
+            words: [0; WORDS],
+            len: 0,
+        };
+        for &w in words.iter() {
+            if hot.as_slice().last() != Some(&w) {
+                hot.push(w);
+            }
+        }
+        hot
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.words[..usize::from(self.len)]
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    fn contains(&self, word: u8) -> bool {
+        self.as_slice().contains(&word)
+    }
+
+    fn push(&mut self, word: u8) {
+        self.words[self.len()] = word;
+        self.len += 1;
+    }
+
+    /// Removes the word at `index`, shifting later words down.
+    fn remove(&mut self, index: usize) {
+        let len = self.len();
+        self.words.copy_within(index + 1..len, index);
+        self.len -= 1;
+    }
+
+    /// Bit `b` set iff a hot word lies in 16-byte block `b`.
+    fn blocks(&self) -> u8 {
+        self.as_slice()
+            .iter()
+            .fold(0, |mask, w| mask | 1 << (w / 8))
+    }
+}
+
+/// The `n`-th set bit of a block mask, counting from block 0.
+fn nth_block(mask: u8, n: usize) -> u8 {
+    (0..4u8)
+        .filter(|b| mask >> b & 1 != 0)
+        .nth(n)
+        .expect("block index below the mask's popcount")
+}
+
 /// Per-line generator state.
 #[derive(Debug, Clone)]
 struct LineState {
     data: LineBytes,
-    roles: [WordRole; WORDS],
-    hot: Vec<u8>,
+    hot: HotWords,
     writes: u64,
 }
 
@@ -207,7 +271,12 @@ struct CoreGenerator {
     core: u8,
     rng: DeuceRng,
     lines: Vec<LineState>,
+    /// Word roles, shared by every line (the layout template).
+    roles: [WordRole; WORDS],
     zipf_cdf: Vec<f64>,
+    /// `guide[k]` is the first index whose CDF value is ≥ `k / G`, for
+    /// `k` in `0..=G` with `G = guide.len() - 1` a power of two.
+    guide: Vec<u32>,
     instr: u64,
     instr_per_write: f64,
     reads_per_write: f64,
@@ -230,17 +299,17 @@ impl CoreGenerator {
         // concentrates writes on fixed bit positions (Fig. 12's 6–27×
         // skew) and limits DEUCE's un-leveled lifetime gain (Fig. 14).
         let template_hot = sample_hot_words(&mut rng, profile.hot_words.min(WORDS));
-        let template_roles: [WordRole; WORDS] =
-            core::array::from_fn(|_| profile.roles.pick(rng.gen()));
+        let roles: [WordRole; WORDS] = core::array::from_fn(|_| profile.roles.pick(rng.gen()));
         const LAYOUT_JITTER: f64 = 0.2;
 
         let line_states = (0..lines)
             .map(|_| {
                 let mut data = [0u8; LINE_BYTES];
                 rng.fill(&mut data);
-                let roles = template_roles;
-                let mut hot = template_hot.clone();
-                for w in &mut hot {
+                let mut hot = [0u8; WORDS];
+                let hot = &mut hot[..template_hot.len()];
+                hot.copy_from_slice(&template_hot);
+                for w in hot.iter_mut() {
                     if rng.gen_bool(LAYOUT_JITTER) {
                         // Jitter within the same 16-byte block.
                         let candidate = (*w / 8) * 8 + rng.gen_range(0..8u8);
@@ -249,33 +318,22 @@ impl CoreGenerator {
                         }
                     }
                 }
-                hot.sort_unstable();
-                hot.dedup();
                 LineState {
                     data,
-                    roles,
-                    hot,
+                    hot: HotWords::sorted(hot),
                     writes: 0,
                 }
             })
             .collect();
 
-        // Zipf CDF over line ranks.
-        let mut weights: Vec<f64> = (0..lines)
-            .map(|r| 1.0 / ((r + 1) as f64).powf(profile.line_zipf))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
-
+        let zipf_cdf = zipf_cdf(lines, profile.line_zipf);
         Self {
             core,
             rng,
             lines: line_states,
-            zipf_cdf: weights,
+            roles,
+            guide: guide_table(&zipf_cdf),
+            zipf_cdf,
             instr: 0,
             instr_per_write: 1000.0 / profile.wbpki,
             reads_per_write: profile.mpki / profile.wbpki,
@@ -284,9 +342,11 @@ impl CoreGenerator {
         }
     }
 
+    /// Draws a line by its Zipf rank: the first index whose CDF value is
+    /// ≥ `u`, searched only within `u`'s guide bucket.
     fn pick_line(&mut self) -> usize {
         let u: f64 = self.rng.gen();
-        self.zipf_cdf.partition_point(|&c| c < u).min(self.lines.len() - 1)
+        guided_search(&self.zipf_cdf, &self.guide, u).min(self.lines.len() - 1)
     }
 
     fn addr(&self, line: usize) -> LineAddr {
@@ -319,7 +379,7 @@ impl CoreGenerator {
             if period > 0 && line.writes.is_multiple_of(period) {
                 let replace = ((line.hot.len() as f64) * profile.drift.fraction).round() as usize;
                 for _ in 0..replace {
-                    if line.hot.is_empty() {
+                    if line.hot.len() == 0 {
                         break;
                     }
                     let victim = self.rng.gen_range(0..line.hot.len());
@@ -327,20 +387,16 @@ impl CoreGenerator {
                 }
                 // Drifted-in words keep the spatial clustering: prefer
                 // words from blocks the footprint already occupies.
-                let blocks: Vec<u8> = {
-                    let mut b: Vec<u8> = line.hot.iter().map(|w| w / 8).collect();
-                    b.sort_unstable();
-                    b.dedup();
-                    b
-                };
+                let blocks = line.hot.blocks();
+                let block_count = blocks.count_ones() as usize;
                 while line.hot.len() < profile.hot_words.min(WORDS) {
-                    let candidate = if !blocks.is_empty() && self.rng.gen_bool(0.7) {
-                        blocks[self.rng.gen_range(0..blocks.len())] * 8
+                    let candidate = if block_count > 0 && self.rng.gen_bool(0.7) {
+                        nth_block(blocks, self.rng.gen_range(0..block_count)) * 8
                             + self.rng.gen_range(0..8u8)
                     } else {
                         self.rng.gen_range(0..WORDS) as u8
                     };
-                    if !line.hot.contains(&candidate) {
+                    if !line.hot.contains(candidate) {
                         line.hot.push(candidate);
                     }
                 }
@@ -350,27 +406,26 @@ impl CoreGenerator {
         // Decide which hot blocks this write touches: writebacks update
         // one field group at a time, so each hot block participates with
         // `block_activity` probability (at least one participates).
-        let mut hot_blocks: Vec<u8> = line.hot.iter().map(|w| w / 8).collect();
-        hot_blocks.sort_unstable();
-        hot_blocks.dedup();
-        let mut active = [false; 4];
-        for &b in &hot_blocks {
-            active[usize::from(b)] = self.rng.gen_bool(profile.block_activity);
+        let hot_blocks = line.hot.blocks();
+        let mut active = 0u8;
+        for b in (0..4).filter(|b| hot_blocks >> b & 1 != 0) {
+            active |= u8::from(self.rng.gen_bool(profile.block_activity)) << b;
         }
-        if !active.iter().any(|&a| a) {
-            active[usize::from(hot_blocks[self.rng.gen_range(0..hot_blocks.len())])] = true;
+        if active == 0 {
+            let pick = self.rng.gen_range(0..hot_blocks.count_ones() as usize);
+            active = 1 << nth_block(hot_blocks, pick);
         }
 
         // Touch hot words in the active blocks.
         let mut touched_any = false;
         for i in 0..line.hot.len() {
-            let word = usize::from(line.hot[i]);
-            if !active[word / 8] {
+            let word = usize::from(line.hot.words[i]);
+            if active >> (word / 8) & 1 == 0 {
                 continue;
             }
             if self.rng.gen_bool(profile.touch_probability) {
                 let old = u16::from_le_bytes([line.data[word * 2], line.data[word * 2 + 1]]);
-                let new = line.roles[word].next_value(old, &mut self.rng);
+                let new = self.roles[word].next_value(old, &mut self.rng);
                 line.data[word * 2..word * 2 + 2].copy_from_slice(&new.to_le_bytes());
                 touched_any = true;
             }
@@ -378,15 +433,58 @@ impl CoreGenerator {
         if !touched_any {
             // A writeback with zero modified bits would be dropped by the
             // cache; force at least one word change.
-            let word = usize::from(line.hot[self.rng.gen_range(0..line.hot.len())]);
+            let word = usize::from(line.hot.words[self.rng.gen_range(0..line.hot.len())]);
             let old = u16::from_le_bytes([line.data[word * 2], line.data[word * 2 + 1]]);
-            let new = line.roles[word].next_value(old, &mut self.rng);
+            let new = self.roles[word].next_value(old, &mut self.rng);
             line.data[word * 2..word * 2 + 2].copy_from_slice(&new.to_le_bytes());
         }
 
         let data = line.data;
         out.push_back(TraceEvent::write(self.core, self.instr, addr, data));
     }
+}
+
+/// The Zipf CDF over `lines` line ranks with exponent `exponent`.
+fn zipf_cdf(lines: usize, exponent: f64) -> Vec<f64> {
+    let mut weights: Vec<f64> = (0..lines)
+        .map(|r| 1.0 / ((r + 1) as f64).powf(exponent))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let mut acc = 0.0;
+    for w in &mut weights {
+        acc += *w / total;
+        *w = acc;
+    }
+    weights
+}
+
+/// `cdf.partition_point(|&c| c < u)` for `u` in `[0, 1)`, searching only
+/// the guide bucket of `u`. `u * G` is exact (G is a power of two), so
+/// bucket `k = floor(u * G)` holds `k / G <= u < (k + 1) / G`: every
+/// index below `guide[k]` has a CDF value `< k / G <= u`, and
+/// `guide[k + 1]` (if in range) has one `>= (k + 1) / G > u`, so the
+/// answer lies in `guide[k]..=guide[k + 1]`.
+fn guided_search(cdf: &[f64], guide: &[u32], u: f64) -> usize {
+    let k = (u * (guide.len() - 1) as f64) as usize;
+    let (lo, hi) = (guide[k] as usize, guide[k + 1] as usize);
+    lo + cdf[lo..hi].partition_point(|&c| c < u)
+}
+
+/// The guide table of a CDF, built in one sweep: entry `k` is the first
+/// index whose value is ≥ `k / G` for `k` in `0..=G`, with `G` the
+/// smallest power of two ≥ the CDF's length.
+fn guide_table(cdf: &[f64]) -> Vec<u32> {
+    let buckets = cdf.len().next_power_of_two();
+    let mut i = 0;
+    (0..=buckets)
+        .map(|k| {
+            let bound = k as f64 / buckets as f64;
+            while i < cdf.len() && cdf[i] < bound {
+                i += 1;
+            }
+            u32::try_from(i).expect("working set fits the 32-bit line field")
+        })
+        .collect()
 }
 
 /// Samples a spatially-clustered hot-word footprint: real writebacks
@@ -513,6 +611,38 @@ mod tests {
             .generate();
         for e in trace.events() {
             assert!((e.line.value() & 0xFFFF_FFFF) < 32);
+        }
+    }
+
+    /// The guided search equals a full `partition_point` for uniform
+    /// draws, for the exact bucket bounds and their neighbours, and for
+    /// every CDF value and its neighbours.
+    #[test]
+    fn guided_search_matches_partition_point() {
+        let mut rng = DeuceRng::seed_from_u64(17);
+        for lines in [1, 2, 3, 100, 65536] {
+            for exponent in [0.0, 0.6, 1.0, 1.4] {
+                let cdf = zipf_cdf(lines, exponent);
+                let guide = guide_table(&cdf);
+                let buckets = guide.len() - 1;
+                let mut probes: Vec<f64> = (0..20_000).map(|_| rng.gen()).collect();
+                probes.push(0.0);
+                probes.push(1f64.next_down());
+                for k in 1..buckets {
+                    let bound = k as f64 / buckets as f64;
+                    probes.extend([bound.next_down(), bound, bound.next_up()]);
+                }
+                for &c in &cdf {
+                    probes.extend([c.next_down(), c, c.next_up()]);
+                }
+                for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(
+                        guided_search(&cdf, &guide, u),
+                        cdf.partition_point(|&c| c < u),
+                        "{lines} lines, exponent {exponent}, u {u:e}"
+                    );
+                }
+            }
         }
     }
 

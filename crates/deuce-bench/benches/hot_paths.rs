@@ -6,7 +6,9 @@ use deuce_bench::harness::{black_box, Harness, Throughput};
 use deuce_aes::{available_backends, Aes128, AesBackend};
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
 use deuce_nvm::{write_slots, LineImage, MetaBits, SlotConfig};
-use deuce_schemes::{fnw_encode, DeuceLine, DeuceScheme, SchemeConfig, SchemeKind, SchemeLine, WordSize};
+use deuce_schemes::{
+    fnw_encode, DeuceScheme, SchemeCell, SchemeConfig, SchemeKind, SchemeLine, WordSize,
+};
 use deuce_sim::{SimConfig, Simulator};
 use deuce_telemetry::{NullRecorder, TelemetryRecorder};
 use deuce_trace::{Benchmark, TraceConfig, WriteSource};
@@ -134,6 +136,7 @@ fn bench_scheme_writes(c: &mut Harness) {
         SchemeKind::EncryptedFnw,
         SchemeKind::Deuce,
         SchemeKind::DynDeuce,
+        SchemeKind::DeuceFnw,
         SchemeKind::BleDeuce,
     ] {
         group.bench_function(kind.label(), |b| {
@@ -173,13 +176,11 @@ fn bench_scheme_writes(c: &mut Harness) {
 
 fn bench_deuce_read(c: &mut Harness) {
     let engine = OtpEngine::new(&SecretKey::from_seed(3));
-    let mut line = DeuceLine::new(
+    let mut line = SchemeCell::with_scheme(
+        DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28),
         &engine,
         LineAddr::new(4),
         &[0u8; 64],
-        WordSize::Bytes2,
-        EpochInterval::DEFAULT,
-        28,
     );
     let mut data = [0u8; 64];
     data[0] = 1;

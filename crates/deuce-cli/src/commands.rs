@@ -149,11 +149,6 @@ pub fn stats<W: Write>(args: &StatsArgs, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds the simulator configuration for one scheme, wiring in fault
-/// injection when `--faults` was given: wear tracking is auto-sized to
-/// `fault_lines`, the trace's write footprint (every written line needs
-/// a cell-array slot; see [`fault_lines`]), and the fault flags map
-/// onto [`FaultConfig`].
 /// Resident-page budget the page-file store defaults to when only
 /// `--store-file` is given.
 const DEFAULT_RESIDENT_PAGES: usize = 1024;
@@ -177,6 +172,11 @@ fn store_backend(args: &RunArgs, cell: Option<&str>) -> StoreBackend {
     }
 }
 
+/// Builds the simulator configuration for one scheme, wiring in fault
+/// injection when `--faults` was given: wear tracking is auto-sized to
+/// `fault_lines`, the trace's write footprint (every written line needs
+/// a cell-array slot; see [`fault_lines`]), and the fault flags map
+/// onto [`FaultConfig`].
 fn sim_config(args: &RunArgs, fault_lines: usize, scheme: SchemeConfig) -> SimConfig {
     let mut config =
         SimConfig::with_scheme(scheme).with_store_backend(store_backend(args, None));

@@ -16,7 +16,7 @@
 use deuce_crypto::{LineAddr, LineBytes, OtpEngine};
 use deuce_nvm::{LineImage, MetaBits};
 
-use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
+use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::WriteOutcome;
 
 /// The fixed counter value used for pad derivation (there is no stored
@@ -69,22 +69,10 @@ impl LineScheme for AddrPadScheme {
     }
 }
 
-/// One memory line encrypted with a per-line, address-derived pad
-/// (counterless).
-pub type AddrPadLine = SchemeCell<AddrPadScheme>;
-
-impl AddrPadLine {
-    /// Initializes the line with `initial` encrypted under the address
-    /// pad.
-    #[must_use]
-    pub fn new(engine: &OtpEngine, addr: LineAddr, initial: &LineBytes) -> Self {
-        Self::with_scheme(AddrPadScheme, engine, addr, initial)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeCell;
     use deuce_crypto::SecretKey;
 
     fn engine() -> OtpEngine {
@@ -95,7 +83,7 @@ mod tests {
     fn roundtrip_and_at_rest_secrecy() {
         let e = engine();
         let secret = [0x42u8; 64];
-        let mut line = AddrPadLine::new(&e, LineAddr::new(3), &secret);
+        let mut line = SchemeCell::with_scheme(AddrPadScheme, &e, LineAddr::new(3), &secret);
         assert_eq!(line.read(&e), secret);
         assert_ne!(line.image().data(), &secret, "at rest data is encrypted");
         let update = [0x43u8; 64];
@@ -106,7 +94,7 @@ mod tests {
     #[test]
     fn flips_match_plaintext_dcw() {
         let e = engine();
-        let mut line = AddrPadLine::new(&e, LineAddr::new(4), &[0u8; 64]);
+        let mut line = SchemeCell::with_scheme(AddrPadScheme, &e, LineAddr::new(4), &[0u8; 64]);
         let mut data = [0u8; 64];
         data[0] = 0b101;
         let outcome = line.write(&e, &data);
@@ -116,8 +104,8 @@ mod tests {
     #[test]
     fn distinct_lines_use_distinct_pads() {
         let e = engine();
-        let a = AddrPadLine::new(&e, LineAddr::new(1), &[0u8; 64]);
-        let b = AddrPadLine::new(&e, LineAddr::new(2), &[0u8; 64]);
+        let a = SchemeCell::with_scheme(AddrPadScheme, &e, LineAddr::new(1), &[0u8; 64]);
+        let b = SchemeCell::with_scheme(AddrPadScheme, &e, LineAddr::new(2), &[0u8; 64]);
         assert_ne!(a.image().data(), b.image().data());
     }
 
@@ -128,7 +116,7 @@ mod tests {
     fn bus_snooper_learns_plaintext_difference() {
         let e = engine();
         let pt1 = [0x11u8; 64];
-        let mut line = AddrPadLine::new(&e, LineAddr::new(9), &pt1);
+        let mut line = SchemeCell::with_scheme(AddrPadScheme, &e, LineAddr::new(9), &pt1);
         let ct1 = *line.image().data();
         let mut pt2 = pt1;
         pt2[5] ^= 0xF0;

@@ -9,14 +9,14 @@
 //! the BLE+DEUCE combination reaches 19.9% (Fig. 18).
 
 use deuce_crypto::{
-    BlockCounters, EpochInterval, LineAddr, LineBytes, OtpEngine, VirtualCounterPair,
-    BLOCKS_PER_LINE, BLOCK_BYTES,
+    EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, VirtualCounterPair, BLOCKS_PER_LINE,
+    BLOCK_BYTES, LINE_BYTES,
 };
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::assert_counter_width;
-use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
+use crate::core::{assert_counter_width, dual_pad_read, reencrypt_marked_words, LaneWords};
+use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::WriteOutcome;
 
 fn block_range(block: usize) -> core::ops::Range<usize> {
@@ -41,7 +41,7 @@ fn bump_block(ctrs: &mut [u64; BLOCKS_PER_LINE], block: usize, width_bits: u32) 
 /// Encrypts `initial` block-by-block at counter 0 (shared by BLE and
 /// BLE+DEUCE, whose initial images are identical).
 fn ble_init(engine: &OtpEngine, addr: LineAddr, initial: &LineBytes) -> LineBytes {
-    let mut stored = [0u8; deuce_crypto::LINE_BYTES];
+    let mut stored = [0u8; LINE_BYTES];
     for block in 0..BLOCKS_PER_LINE {
         let pad = engine.block_pad(addr, block, 0);
         let mut pt = [0u8; BLOCK_BYTES];
@@ -117,7 +117,7 @@ impl LineScheme for BleScheme {
     }
 
     fn read(&self, engine: &OtpEngine, addr: LineAddr, line: LineRef<'_, BleState>) -> LineBytes {
-        let mut out = [0u8; deuce_crypto::LINE_BYTES];
+        let mut out = [0u8; LINE_BYTES];
         for block in 0..BLOCKS_PER_LINE {
             let pad = engine.block_pad(addr, block, line.state.ctrs[block]);
             let mut ct = [0u8; BLOCK_BYTES];
@@ -129,23 +129,6 @@ impl LineScheme for BleScheme {
 
     fn image(&self, line: LineRef<'_, BleState>) -> LineImage {
         LineImage::new(*line.stored, MetaBits::new(0))
-    }
-}
-
-/// One memory line under Block-Level Encryption.
-pub type BleLine = SchemeCell<BleScheme>;
-
-impl BleLine {
-    /// Initializes the line: each block encrypted at its counter 0.
-    #[must_use]
-    pub fn new(engine: &OtpEngine, addr: LineAddr, initial: &LineBytes, counter_bits: u32) -> Self {
-        Self::with_scheme(BleScheme::new(counter_bits), engine, addr, initial)
-    }
-
-    /// The per-block counter values.
-    #[must_use]
-    pub fn counters(&self) -> BlockCounters {
-        BlockCounters::from_values(self.state().ctrs, self.scheme().counter_bits)
     }
 }
 
@@ -197,8 +180,10 @@ impl BleDeuceScheme {
         }
     }
 
-    fn words_per_block(self) -> usize {
-        BLOCK_BYTES / self.word_size.bytes()
+    /// The per-line word mask of block `block`'s words.
+    fn block_words(self, block: usize) -> u64 {
+        let per_block = (BLOCK_BYTES / self.word_size.bytes()) as u32;
+        (u64::MAX >> (64 - per_block)) << (block as u32 * per_block)
     }
 
     fn modified_bits(self, state: &BleDeuceState) -> MetaBits {
@@ -233,25 +218,110 @@ impl LineScheme for BleDeuceScheme {
         line: LineMut<'_, BleDeuceState>,
         data: &LineBytes,
     ) -> WriteOutcome {
-        let mut modified = self.modified_bits(line.state);
-        let old_image = LineImage::new(*line.stored, modified);
-        let w = self.word_size.bytes();
-        let wpb = self.words_per_block();
+        let old_image = LineImage::new(*line.stored, self.modified_bits(line.state));
+        let changed = LaneWords::of(self.word_size).changed(line.shadow, data);
+        let mut modified = line.state.modified;
+        // The touched blocks' leading pads side by side, and the words
+        // they re-encrypt.
+        let mut lead = [0u8; LINE_BYTES];
+        let mut rewrite = 0u64;
         let mut counter_flips = 0u32;
         let mut any_epoch = false;
-
         for block in 0..BLOCKS_PER_LINE {
-            let brange = block_range(block);
-            if data[brange.clone()] == line.shadow[brange] {
+            let words = self.block_words(block);
+            if changed & words == 0 {
                 continue; // cold block: counter frozen, nothing rewritten
             }
             counter_flips += bump_block(&mut line.state.ctrs, block, self.counter_bits);
             let v = VirtualCounterPair::derive(line.state.ctrs[block], self.epoch);
+            lead[block_range(block)]
+                .copy_from_slice(engine.block_pad(addr, block, v.lctr()).as_bytes());
+            if v.is_epoch_start() {
+                // Whole block re-encrypts; its modified bits reset.
+                any_epoch = true;
+                modified &= !words;
+                rewrite |= words;
+            } else {
+                modified |= changed & words;
+                rewrite |= modified & words;
+            }
+        }
+        let width = self.word_size.tracking_bits();
+        reencrypt_marked_words(
+            line.stored,
+            data,
+            &Pad::from_bytes(lead),
+            &MetaBits::from_raw(rewrite, width),
+            self.word_size,
+        );
+        line.state.modified = modified;
+        *line.shadow = *data;
+        WriteOutcome::from_images(
+            old_image,
+            LineImage::new(*line.stored, MetaBits::from_raw(modified, width)),
+            counter_flips,
+            any_epoch,
+        )
+    }
 
+    fn read(&self, engine: &OtpEngine, addr: LineAddr, line: LineRef<'_, BleDeuceState>) -> LineBytes {
+        let (mut lead, mut trail) = ([0u8; LINE_BYTES], [0u8; LINE_BYTES]);
+        for block in 0..BLOCKS_PER_LINE {
+            let v = VirtualCounterPair::derive(line.state.ctrs[block], self.epoch);
+            lead[block_range(block)]
+                .copy_from_slice(engine.block_pad(addr, block, v.lctr()).as_bytes());
+            trail[block_range(block)]
+                .copy_from_slice(engine.block_pad(addr, block, v.tctr()).as_bytes());
+        }
+        dual_pad_read(
+            line.stored,
+            &self.modified_bits(line.state),
+            &Pad::from_bytes(lead),
+            &Pad::from_bytes(trail),
+            self.word_size,
+        )
+    }
+
+    fn image(&self, line: LineRef<'_, BleDeuceState>) -> LineImage {
+        LineImage::new(*line.stored, self.modified_bits(line.state))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::tests::assert_matches_reference;
+    use crate::scheme::SchemeCell;
+    use deuce_crypto::SecretKey;
+
+    fn engine() -> OtpEngine {
+        OtpEngine::new(&SecretKey::from_seed(41))
+    }
+
+    /// The per-word byte loops `BleDeuceScheme::write` replaced.
+    fn write_reference(
+        scheme: &BleDeuceScheme,
+        engine: &OtpEngine,
+        addr: LineAddr,
+        line: LineMut<'_, BleDeuceState>,
+        data: &LineBytes,
+    ) -> WriteOutcome {
+        let mut modified = scheme.modified_bits(line.state);
+        let old_image = LineImage::new(*line.stored, modified);
+        let w = scheme.word_size.bytes();
+        let wpb = BLOCK_BYTES / w;
+        let mut counter_flips = 0u32;
+        let mut any_epoch = false;
+        for block in 0..BLOCKS_PER_LINE {
+            let brange = block_range(block);
+            if data[brange.clone()] == line.shadow[brange] {
+                continue;
+            }
+            counter_flips += bump_block(&mut line.state.ctrs, block, scheme.counter_bits);
+            let v = VirtualCounterPair::derive(line.state.ctrs[block], scheme.epoch);
             let lead_pad = engine.block_pad(addr, block, v.lctr());
             if v.is_epoch_start() {
                 any_epoch = true;
-                // Whole block re-encrypts; its modified bits reset.
                 for word_in_block in 0..wpb {
                     let word = block * wpb + word_in_block;
                     modified.set(word as u32, false);
@@ -288,13 +358,19 @@ impl LineScheme for BleDeuceScheme {
         )
     }
 
-    fn read(&self, engine: &OtpEngine, addr: LineAddr, line: LineRef<'_, BleDeuceState>) -> LineBytes {
-        let modified = self.modified_bits(line.state);
-        let w = self.word_size.bytes();
-        let wpb = self.words_per_block();
-        let mut out = [0u8; deuce_crypto::LINE_BYTES];
+    /// The per-word byte loop `BleDeuceScheme::read` replaced.
+    fn read_reference(
+        scheme: &BleDeuceScheme,
+        engine: &OtpEngine,
+        addr: LineAddr,
+        line: LineRef<'_, BleDeuceState>,
+    ) -> LineBytes {
+        let modified = scheme.modified_bits(line.state);
+        let w = scheme.word_size.bytes();
+        let wpb = BLOCK_BYTES / w;
+        let mut out = [0u8; LINE_BYTES];
         for block in 0..BLOCKS_PER_LINE {
-            let v = VirtualCounterPair::derive(line.state.ctrs[block], self.epoch);
+            let v = VirtualCounterPair::derive(line.state.ctrs[block], scheme.epoch);
             let lead = engine.block_pad(addr, block, v.lctr());
             let trail = engine.block_pad(addr, block, v.tctr());
             for word_in_block in 0..wpb {
@@ -312,47 +388,24 @@ impl LineScheme for BleDeuceScheme {
         out
     }
 
-    fn image(&self, line: LineRef<'_, BleDeuceState>) -> LineImage {
-        LineImage::new(*line.stored, self.modified_bits(line.state))
-    }
-}
-
-/// One memory line under BLE with DEUCE running inside each block.
-pub type BleDeuceLine = SchemeCell<BleDeuceScheme>;
-
-impl BleDeuceLine {
-    /// Initializes the line.
-    #[must_use]
-    pub fn new(
-        engine: &OtpEngine,
-        addr: LineAddr,
-        initial: &LineBytes,
-        word_size: WordSize,
-        epoch: EpochInterval,
-        counter_bits: u32,
-    ) -> Self {
-        Self::with_scheme(
-            BleDeuceScheme::new(word_size, epoch, counter_bits),
-            engine,
-            addr,
-            initial,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use deuce_crypto::SecretKey;
-
-    fn engine() -> OtpEngine {
-        OtpEngine::new(&SecretKey::from_seed(41))
+    #[test]
+    fn ble_deuce_matches_byte_loop_reference() {
+        for word_size in [WordSize::Bytes1, WordSize::Bytes2, WordSize::Bytes4, WordSize::Bytes8] {
+            for (epoch, counter_bits) in [(2, 28), (4, 3), (16, 28)] {
+                let epoch = EpochInterval::new(epoch).unwrap();
+                assert_matches_reference(
+                    BleDeuceScheme::new(word_size, epoch, counter_bits),
+                    write_reference,
+                    read_reference,
+                );
+            }
+        }
     }
 
     #[test]
     fn ble_roundtrip() {
         let e = engine();
-        let mut l = BleLine::new(&e, LineAddr::new(1), &[0u8; 64], 28);
+        let mut l = SchemeCell::with_scheme(BleScheme::new(28), &e, LineAddr::new(1), &[0u8; 64]);
         for i in 0..30u8 {
             let mut data = [0u8; 64];
             data[usize::from(i % 64)] = i + 1;
@@ -364,7 +417,7 @@ mod tests {
     #[test]
     fn ble_touches_only_changed_blocks() {
         let e = engine();
-        let mut l = BleLine::new(&e, LineAddr::new(2), &[0u8; 64], 28);
+        let mut l = SchemeCell::with_scheme(BleScheme::new(28), &e, LineAddr::new(2), &[0u8; 64]);
         let mut data = [0u8; 64];
         data[0] = 1; // block 0 only
         let o = l.write(&e, &data);
@@ -372,8 +425,8 @@ mod tests {
             assert!(bit < 128, "bit {bit} outside block 0 flipped");
         }
         // Block 0's counter advanced; others untouched.
-        assert_eq!(l.counters().value(0), 1);
-        assert_eq!(l.counters().value(1), 0);
+        assert_eq!(l.state().ctrs[0], 1);
+        assert_eq!(l.state().ctrs[1], 0);
         // A single-block change re-encrypts ~64 of its 128 bits.
         assert!(o.flips.total() >= 40 && o.flips.total() <= 90);
     }
@@ -382,7 +435,7 @@ mod tests {
     fn ble_unchanged_write_flips_nothing() {
         let e = engine();
         let data = [5u8; 64];
-        let mut l = BleLine::new(&e, LineAddr::new(3), &data, 28);
+        let mut l = SchemeCell::with_scheme(BleScheme::new(28), &e, LineAddr::new(3), &data);
         let o = l.write(&e, &data);
         assert_eq!(o.flips.total(), 0);
         assert_eq!(o.counter_flips, 0);
@@ -391,14 +444,8 @@ mod tests {
     #[test]
     fn ble_deuce_roundtrip_across_block_epochs() {
         let e = engine();
-        let mut l = BleDeuceLine::new(
-            &e,
-            LineAddr::new(4),
-            &[0u8; 64],
-            WordSize::Bytes2,
-            EpochInterval::new(4).unwrap(),
-            28,
-        );
+        let scheme = BleDeuceScheme::new(WordSize::Bytes2, EpochInterval::new(4).unwrap(), 28);
+        let mut l = SchemeCell::with_scheme(scheme, &e, LineAddr::new(4), &[0u8; 64]);
         for i in 0..40u8 {
             let mut data = [0u8; 64];
             data[0] = i; // block 0
@@ -411,15 +458,9 @@ mod tests {
     #[test]
     fn ble_deuce_sparse_write_is_cheaper_than_ble() {
         let e = engine();
-        let mut ble = BleLine::new(&e, LineAddr::new(5), &[0u8; 64], 28);
-        let mut combo = BleDeuceLine::new(
-            &e,
-            LineAddr::new(5),
-            &[0u8; 64],
-            WordSize::Bytes2,
-            EpochInterval::DEFAULT,
-            28,
-        );
+        let mut ble = SchemeCell::with_scheme(BleScheme::new(28), &e, LineAddr::new(5), &[0u8; 64]);
+        let scheme = BleDeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28);
+        let mut combo = SchemeCell::with_scheme(scheme, &e, LineAddr::new(5), &[0u8; 64]);
         let mut ble_total = 0u64;
         let mut combo_total = 0u64;
         for i in 0..320u64 {
@@ -438,14 +479,8 @@ mod tests {
     #[test]
     fn ble_deuce_cold_blocks_never_reencrypt() {
         let e = engine();
-        let mut l = BleDeuceLine::new(
-            &e,
-            LineAddr::new(6),
-            &[0u8; 64],
-            WordSize::Bytes2,
-            EpochInterval::new(4).unwrap(),
-            28,
-        );
+        let scheme = BleDeuceScheme::new(WordSize::Bytes2, EpochInterval::new(4).unwrap(), 28);
+        let mut l = SchemeCell::with_scheme(scheme, &e, LineAddr::new(6), &[0u8; 64]);
         // 20 writes (5 block epochs) confined to block 0.
         for i in 0..20u8 {
             let mut data = [0u8; 64];

@@ -7,10 +7,8 @@
 //! once, bit-identically to the historical per-scheme copies, so a
 //! scheme file only contributes its policy (what to re-encrypt, when).
 
-use std::sync::OnceLock;
-
 use deuce_crypto::{
-    EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, SecretKey, VirtualCounterPair, LINE_BYTES,
+    EpochInterval, LineAddr, LineBytes, OtpEngine, Pad, VirtualCounterPair, LINE_BYTES,
 };
 use deuce_nvm::MetaBits;
 
@@ -267,9 +265,28 @@ pub(crate) fn reencrypt_marked_words(
     let words = LaneWords::of(word_size);
     let (old, data, pad) = (lanes(stored), lanes(data), lanes(pad.as_bytes()));
     *stored = from_lanes(core::array::from_fn(|i| {
-        let m = words.lane_mask(modified.raw(), i);
-        (old[i] & !m) | ((data[i] ^ pad[i]) & m)
+        blend(old[i], data[i] ^ pad[i], words.lane_mask(modified.raw(), i))
     }));
+}
+
+/// Overwrites the words of `stored` whose bit is set in the per-line
+/// word mask `mask` with the same words of `new`.
+pub(crate) fn blend_marked_words(
+    stored: &mut LineBytes,
+    new: &LineBytes,
+    mask: u64,
+    word_size: WordSize,
+) {
+    let words = LaneWords::of(word_size);
+    let (old, new) = (lanes(stored), lanes(new));
+    *stored = from_lanes(core::array::from_fn(|i| {
+        blend(old[i], new[i], words.lane_mask(mask, i))
+    }));
+}
+
+/// `old` under the clear bits of `m`, `new` under the set ones.
+pub(crate) fn blend(old: u64, new: u64, m: u64) -> u64 {
+    (old & !m) | (new & m)
 }
 
 /// Decrypts a stored line where each word's tracking bit selects the
@@ -289,8 +306,7 @@ pub(crate) fn dual_pad_read(
         lanes(pad_tctr.as_bytes()),
     );
     from_lanes(core::array::from_fn(|i| {
-        let m = words.lane_mask(modified.raw(), i);
-        stored[i] ^ ((lead[i] & m) | (trail[i] & !m))
+        stored[i] ^ blend(trail[i], lead[i], words.lane_mask(modified.raw(), i))
     }))
 }
 
@@ -317,24 +333,12 @@ pub(crate) fn prefill_next_epoch_pad(
     }
 }
 
-/// A process-wide engine for schemes that never consult one (plaintext
-/// DCW/FNW), letting their engine-less legacy APIs delegate to the
-/// shared [`crate::LineScheme`] machinery.
-pub(crate) fn null_engine() -> &'static OtpEngine {
-    static NULL: OnceLock<OtpEngine> = OnceLock::new();
-    NULL.get_or_init(|| OtpEngine::new(&SecretKey::from_seed(0)))
-}
-
-/// `addr` placeholder for engine-less wrappers (plaintext schemes never
-/// feed the address into any pad).
-pub(crate) fn null_addr() -> LineAddr {
-    LineAddr::new(0)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use deuce_crypto::{xor_into, LineCounter};
+    use crate::scheme::{LineMut, LineRef, LineScheme};
+    use crate::WriteOutcome;
+    use deuce_crypto::{xor_into, LineCounter, SecretKey};
     use deuce_rng::{DeuceRng, Rng};
 
     const WORD_SIZES: [WordSize; 4] = [
@@ -411,6 +415,48 @@ pub(crate) mod tests {
             b[i] ^= 1 << rng.gen_range(0..8u32) & rng.gen::<u8>();
         }
         (a, b)
+    }
+
+    /// Drives `scheme` and its byte-loop reference (`write_ref`,
+    /// `read_ref`) through the same 300 random writes, from an unchanged
+    /// line to a full rewrite, and asserts identical outcomes, stored
+    /// bytes, states and reads after every write.
+    pub(crate) fn assert_matches_reference<S>(
+        scheme: S,
+        write_ref: fn(&S, &OtpEngine, LineAddr, LineMut<'_, S::State>, &LineBytes) -> WriteOutcome,
+        read_ref: fn(&S, &OtpEngine, LineAddr, LineRef<'_, S::State>) -> LineBytes,
+    ) where
+        S: LineScheme + core::fmt::Debug,
+        S::State: PartialEq,
+    {
+        let engine = OtpEngine::new(&SecretKey::from_seed(0xd1ff));
+        let addr = LineAddr::new(3);
+        let mut rng = DeuceRng::seed_from_u64(0xd1ff);
+        let (initial, _) = line_pair(&mut rng, 0);
+        let (mut stored, mut state) = scheme.init(&engine, addr, &initial);
+        let (mut ref_stored, mut ref_state) = (stored, state);
+        let (mut shadow, mut ref_shadow) = (initial, initial);
+        for step in 0..300 {
+            let mut data = shadow;
+            for _ in 0..[0, 1, 2, 5, 16, 200][rng.gen_range(0..6usize)] {
+                let i = rng.gen_range(0..LINE_BYTES);
+                data[i] ^= 1 << rng.gen_range(0..8u32) & rng.gen::<u8>();
+            }
+            let line = LineMut { stored: &mut stored, shadow: &mut shadow, state: &mut state };
+            let outcome = scheme.write(&engine, addr, line, &data);
+            let line = LineMut {
+                stored: &mut ref_stored,
+                shadow: &mut ref_shadow,
+                state: &mut ref_state,
+            };
+            let ref_outcome = write_ref(&scheme, &engine, addr, line, &data);
+            assert_eq!(outcome, ref_outcome, "{scheme:?} write {step}");
+            assert_eq!(stored, ref_stored, "{scheme:?} stored after write {step}");
+            assert_eq!(state, ref_state, "{scheme:?} state after write {step}");
+            let read = scheme.read(&engine, addr, LineRef { stored: &stored, state: &state });
+            let ref_read = read_ref(&scheme, &engine, addr, LineRef { stored: &stored, state: &state });
+            assert_eq!((read, ref_read), (data, data), "{scheme:?} read after write {step}");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use deuce_crypto::{LineAddr, LineBytes, OtpEngine};
 use deuce_nvm::{LineImage, MetaBits};
 
-use crate::core::{assert_counter_width, null_addr, null_engine, CtrState};
-use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
+use crate::core::{assert_counter_width, CtrState};
+use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::WriteOutcome;
 
 /// Plaintext Data Comparison Write \[7\]: store the data verbatim, flip
@@ -47,44 +47,6 @@ impl LineScheme for UnencryptedDcwScheme {
 
     fn image(&self, line: LineRef<'_, ()>) -> LineImage {
         LineImage::new(*line.stored, MetaBits::new(0))
-    }
-}
-
-/// Plaintext memory with Data Comparison Write \[7\]: only the bits that
-/// changed are written.
-///
-/// This wrapper keeps the historical engine-less `write`/`read` API over
-/// the shared [`UnencryptedDcwScheme`] core.
-#[derive(Debug, Clone)]
-pub struct UnencryptedDcwLine {
-    cell: SchemeCell<UnencryptedDcwScheme>,
-}
-
-impl UnencryptedDcwLine {
-    /// Initializes the line with `initial`.
-    #[must_use]
-    pub fn new(initial: &LineBytes) -> Self {
-        Self {
-            cell: SchemeCell::with_scheme(UnencryptedDcwScheme, null_engine(), null_addr(), initial),
-        }
-    }
-
-    /// Writes new data.
-    #[must_use]
-    pub fn write(&mut self, data: &LineBytes) -> WriteOutcome {
-        self.cell.write(null_engine(), data)
-    }
-
-    /// Reads the line.
-    #[must_use]
-    pub fn read(&self) -> LineBytes {
-        self.cell.read(null_engine())
-    }
-
-    /// The current stored image (no metadata).
-    #[must_use]
-    pub fn image(&self) -> LineImage {
-        self.cell.image()
     }
 }
 
@@ -154,55 +116,49 @@ impl LineScheme for EncryptedDcwScheme {
     }
 }
 
-/// One memory line under counter-mode encrypted DCW.
-pub type EncryptedDcwLine = SchemeCell<EncryptedDcwScheme>;
-
-impl EncryptedDcwLine {
-    /// Initializes the line: `initial` is encrypted at counter 0.
-    #[must_use]
-    pub fn new(engine: &OtpEngine, addr: LineAddr, initial: &LineBytes, counter_bits: u32) -> Self {
-        Self::with_scheme(EncryptedDcwScheme::new(counter_bits), engine, addr, initial)
-    }
-
-    /// The current line-counter value.
-    #[must_use]
-    pub fn counter(&self) -> u64 {
-        self.state().value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeCell;
     use deuce_crypto::SecretKey;
+
+    fn encrypted_line(
+        engine: &OtpEngine,
+        addr: u64,
+        initial: &LineBytes,
+    ) -> SchemeCell<EncryptedDcwScheme> {
+        SchemeCell::with_scheme(EncryptedDcwScheme::new(28), engine, LineAddr::new(addr), initial)
+    }
 
     #[test]
     fn unencrypted_dcw_counts_exact_flips() {
-        let mut line = UnencryptedDcwLine::new(&[0u8; 64]);
+        let engine = OtpEngine::new(&SecretKey::from_seed(4));
+        let mut line =
+            SchemeCell::with_scheme(UnencryptedDcwScheme, &engine, LineAddr::new(0), &[0u8; 64]);
         let mut data = [0u8; 64];
         data[0] = 0b111;
-        let outcome = line.write(&data);
+        let outcome = line.write(&engine, &data);
         assert_eq!(outcome.flips.total(), 3);
-        assert_eq!(line.read(), data);
+        assert_eq!(line.read(&engine), data);
         // Writing identical data flips nothing.
-        assert_eq!(line.write(&data).flips.total(), 0);
+        assert_eq!(line.write(&engine, &data).flips.total(), 0);
     }
 
     #[test]
     fn encrypted_dcw_roundtrip() {
         let engine = OtpEngine::new(&SecretKey::from_seed(5));
-        let mut line = EncryptedDcwLine::new(&engine, LineAddr::new(77), &[9u8; 64], 28);
+        let mut line = encrypted_line(&engine, 77, &[9u8; 64]);
         assert_eq!(line.read(&engine), [9u8; 64]);
         let data = [3u8; 64];
         let _ = line.write(&engine, &data);
         assert_eq!(line.read(&engine), data);
-        assert_eq!(line.counter(), 1);
+        assert_eq!(line.state().value(), 1);
     }
 
     #[test]
     fn encrypted_dcw_avalanche_near_half() {
         let engine = OtpEngine::new(&SecretKey::from_seed(6));
-        let mut line = EncryptedDcwLine::new(&engine, LineAddr::new(1), &[0u8; 64], 28);
+        let mut line = encrypted_line(&engine, 1, &[0u8; 64]);
         let mut total = 0u64;
         let writes = 2000u64;
         for i in 0..writes {
@@ -217,14 +173,14 @@ mod tests {
     #[test]
     fn encrypted_stored_bits_differ_from_plaintext() {
         let engine = OtpEngine::new(&SecretKey::from_seed(8));
-        let line = EncryptedDcwLine::new(&engine, LineAddr::new(2), &[0u8; 64], 28);
+        let line = encrypted_line(&engine, 2, &[0u8; 64]);
         assert_ne!(line.image().data(), &[0u8; 64], "data at rest is encrypted");
     }
 
     #[test]
     fn counter_flip_accounting() {
         let engine = OtpEngine::new(&SecretKey::from_seed(9));
-        let mut line = EncryptedDcwLine::new(&engine, LineAddr::new(3), &[0u8; 64], 28);
+        let mut line = encrypted_line(&engine, 3, &[0u8; 64]);
         let o1 = line.write(&engine, &[1u8; 64]);
         assert_eq!(o1.counter_flips, 1); // 0 -> 1
         let o2 = line.write(&engine, &[2u8; 64]);

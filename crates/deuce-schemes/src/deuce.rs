@@ -24,7 +24,7 @@ use crate::core::{
     assert_counter_width, dual_pad_read, mark_modified_words, prefill_next_epoch_pad,
     reencrypt_marked_words, CtrState,
 };
-use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
+use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::WriteOutcome;
 
 /// Per-line DEUCE state: the raw line counter plus the raw per-word
@@ -38,6 +38,22 @@ pub struct DeuceState {
 }
 
 /// The DEUCE scheme parameters shared by every line.
+///
+/// # Examples
+///
+/// ```
+/// use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
+/// use deuce_schemes::{DeuceScheme, SchemeCell, WordSize};
+///
+/// let engine = OtpEngine::new(&SecretKey::from_seed(0));
+/// let scheme = DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28);
+/// let mut line = SchemeCell::with_scheme(scheme, &engine, LineAddr::new(4), &[0u8; 64]);
+/// let mut data = [0u8; 64];
+/// data[0] = 1;
+/// let _ = line.write(&engine, &data);
+/// assert_eq!(line.read(&engine), data);
+/// assert_eq!(line.state().modified.count_ones(), 1); // one word re-encrypted
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeuceScheme {
     /// Re-encryption word granularity.
@@ -141,78 +157,15 @@ impl LineScheme for DeuceScheme {
     }
 }
 
-/// One memory line under DEUCE.
-///
-/// # Examples
-///
-/// ```
-/// use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
-/// use deuce_schemes::{DeuceLine, WordSize};
-///
-/// let engine = OtpEngine::new(&SecretKey::from_seed(0));
-/// let mut line = DeuceLine::new(
-///     &engine,
-///     LineAddr::new(4),
-///     &[0u8; 64],
-///     WordSize::Bytes2,
-///     EpochInterval::DEFAULT,
-///     28,
-/// );
-/// let mut data = [0u8; 64];
-/// data[0] = 1;
-/// let outcome = line.write(&engine, &data);
-/// assert_eq!(line.read(&engine), data);
-/// assert_eq!(line.modified_words(), 1);
-/// ```
-pub type DeuceLine = SchemeCell<DeuceScheme>;
-
-impl DeuceLine {
-    /// Initializes the line: `initial` is encrypted in full at counter 0
-    /// (which is an epoch start, so all modified bits are clear).
-    #[must_use]
-    pub fn new(
-        engine: &OtpEngine,
-        addr: LineAddr,
-        initial: &LineBytes,
-        word_size: WordSize,
-        epoch: EpochInterval,
-        counter_bits: u32,
-    ) -> Self {
-        Self::with_scheme(
-            DeuceScheme::new(word_size, epoch, counter_bits),
-            engine,
-            addr,
-            initial,
-        )
-    }
-
-    /// Number of words currently marked modified this epoch.
-    #[must_use]
-    pub fn modified_words(&self) -> u32 {
-        self.scheme().modified_bits(self.state()).count_ones()
-    }
-
-    /// Current line-counter value.
-    #[must_use]
-    pub fn counter(&self) -> u64 {
-        self.state().ctr.value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeCell;
     use deuce_crypto::SecretKey;
 
-    fn line(engine: &OtpEngine, epoch: u64) -> DeuceLine {
-        DeuceLine::new(
-            engine,
-            LineAddr::new(12),
-            &[0u8; 64],
-            WordSize::Bytes2,
-            EpochInterval::new(epoch).unwrap(),
-            28,
-        )
+    fn line(engine: &OtpEngine, epoch: u64) -> SchemeCell<DeuceScheme> {
+        let scheme = DeuceScheme::new(WordSize::Bytes2, EpochInterval::new(epoch).unwrap(), 28);
+        SchemeCell::with_scheme(scheme, engine, LineAddr::new(12), &[0u8; 64])
     }
 
     #[test]
@@ -274,11 +227,11 @@ mod tests {
             let o = l.write(&engine, &data);
             assert!(!o.epoch_started);
         }
-        assert_eq!(l.modified_words(), 1);
+        assert_eq!(l.state().modified.count_ones(), 1);
         data[0] = 42;
         let o = l.write(&engine, &data); // counter reaches 4: epoch start
         assert!(o.epoch_started);
-        assert_eq!(l.modified_words(), 0);
+        assert_eq!(l.state().modified.count_ones(), 0);
         // Full re-encryption flips ~half the bits.
         assert!(o.flips.data > 180, "epoch flips = {}", o.flips.data);
         assert_eq!(l.read(&engine), data);
@@ -300,7 +253,7 @@ mod tests {
             stored_word0_after_w1, stored_word0_after_w2,
             "modified word 0 must re-encrypt with the new LCTR"
         );
-        assert_eq!(l.modified_words(), 2);
+        assert_eq!(l.state().modified.count_ones(), 2);
         assert_eq!(l.read(&engine), data);
         assert!(o.flips.total() <= 34);
     }
@@ -314,7 +267,7 @@ mod tests {
         let _ = l.write(&engine, &data);
         data[0] = 0; // revert to the epoch-start value
         let _ = l.write(&engine, &data);
-        assert_eq!(l.modified_words(), 1, "modified bit is sticky within the epoch");
+        assert_eq!(l.state().modified.count_ones(), 1, "modified bit is sticky within the epoch");
         assert_eq!(l.read(&engine), data);
     }
 
@@ -358,14 +311,8 @@ mod tests {
     fn word_size_granularity_respected() {
         let engine = OtpEngine::new(&SecretKey::from_seed(9));
         for ws in [WordSize::Bytes1, WordSize::Bytes2, WordSize::Bytes4, WordSize::Bytes8] {
-            let mut l = DeuceLine::new(
-                &engine,
-                LineAddr::new(1),
-                &[0u8; 64],
-                ws,
-                EpochInterval::DEFAULT,
-                28,
-            );
+            let scheme = DeuceScheme::new(ws, EpochInterval::DEFAULT, 28);
+            let mut l = SchemeCell::with_scheme(scheme, &engine, LineAddr::new(1), &[0u8; 64]);
             let mut data = [0u8; 64];
             data[0] = 1; // first word only
             let o = l.write(&engine, &data);

@@ -10,8 +10,12 @@ use deuce_crypto::{EpochInterval, LineAddr, LineBytes, OtpEngine, VirtualCounter
 use deuce_nvm::{LineImage, MetaBits};
 
 use crate::config::WordSize;
-use crate::core::{assert_counter_width, mark_modified_words, prefill_next_epoch_pad, CtrState};
-use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
+use crate::core::{
+    assert_counter_width, blend, blend_marked_words, dual_pad_read, mark_modified_words,
+    prefill_next_epoch_pad, CtrState,
+};
+use crate::fnw::{fnw_decode, fnw_encode};
+use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::WriteOutcome;
 
 /// Per-line DEUCE+FNW state: the counter plus the raw 64-bit metadata.
@@ -38,7 +42,6 @@ pub struct DeuceFnwScheme {
 
 impl DeuceFnwScheme {
     const WORD: WordSize = WordSize::Bytes2;
-    const FLIP_BASE: u32 = 32;
 
     /// Creates the scheme.
     ///
@@ -51,24 +54,14 @@ impl DeuceFnwScheme {
         Self { epoch, counter_bits }
     }
 
-    /// Stores ciphertext word `word`, choosing inversion FNW-style.
-    fn store_word_fnw(stored: &mut LineBytes, meta: &mut MetaBits, word: usize, cipher: &[u8]) {
-        let w = Self::WORD.bytes();
-        let range = word * w..(word + 1) * w;
-        let flip_idx = Self::FLIP_BASE + word as u32;
-        let old_flip = meta.get(flip_idx);
+    /// The DEUCE modified bits (metadata bits `0..32`).
+    fn modified_bits(state: &DeuceFnwState) -> MetaBits {
+        MetaBits::from_raw(state.meta & 0xFFFF_FFFF, 32)
+    }
 
-        let mut normal = u32::from(old_flip);
-        let mut inverted = u32::from(!old_flip);
-        for (c, o) in cipher.iter().zip(&stored[range.clone()]) {
-            normal += (c ^ o).count_ones();
-            inverted += (!c ^ o).count_ones();
-        }
-        let invert = if inverted != normal { inverted < normal } else { old_flip };
-        for (dst, src) in stored[range].iter_mut().zip(cipher) {
-            *dst = if invert { !src } else { *src };
-        }
-        meta.set(flip_idx, invert);
+    /// The FNW flip bits (metadata bits `32..64`).
+    fn flip_bits(state: &DeuceFnwState) -> MetaBits {
+        MetaBits::from_raw(state.meta >> 32, 32)
     }
 }
 
@@ -99,42 +92,129 @@ impl LineScheme for DeuceFnwScheme {
         line: LineMut<'_, DeuceFnwState>,
         data: &LineBytes,
     ) -> WriteOutcome {
-        let mut meta = MetaBits::from_raw(line.state.meta, 64);
-        let old_image = LineImage::new(*line.stored, meta);
+        let old_image = LineImage::new(*line.stored, MetaBits::from_raw(line.state.meta, 64));
         let counter_flips = line.state.ctr.bump(self.counter_bits);
         let v = VirtualCounterPair::derive(line.state.ctr.value(), self.epoch);
-        let w = Self::WORD.bytes();
 
+        // An epoch start clears the modified bits and re-encrypts every
+        // word; other writes re-encrypt the words modified this epoch.
+        // Either way each re-encrypted word is stored FNW-style (its flip
+        // bit stays useful even at epoch starts); the rest keep their
+        // stored bits and flip bits.
         let epoch_started = v.is_epoch_start();
-        if epoch_started {
-            // Clear modified bits, re-encrypt every word (FNW choice per
-            // word keeps the flip bits useful even at epoch starts).
-            let pad = engine.line_pad(addr, v.lctr());
-            for word in 0..Self::WORD.words_per_line() {
-                meta.set(word as u32, false);
-                let mut cipher = [0u8; 8];
-                for (offset, i) in (word * w..(word + 1) * w).enumerate() {
-                    cipher[offset] = data[i] ^ pad.word(word, w)[offset];
-                }
-                Self::store_word_fnw(line.stored, &mut meta, word, &cipher[..w]);
-            }
+        let mut modified = Self::modified_bits(line.state);
+        let rewrite = if epoch_started {
+            modified.clear();
+            u64::from(u32::MAX)
         } else {
-            mark_modified_words(&mut meta, Self::WORD, line.shadow, data);
-            let pad = engine.line_pad(addr, v.lctr());
-            for word in 0..Self::WORD.words_per_line() {
-                if meta.get(word as u32) {
-                    let mut cipher = [0u8; 8];
-                    for (offset, i) in (word * w..(word + 1) * w).enumerate() {
-                        cipher[offset] = data[i] ^ pad.word(word, w)[offset];
-                    }
-                    Self::store_word_fnw(line.stored, &mut meta, word, &cipher[..w]);
-                }
-            }
-        }
-        line.state.meta = meta.raw();
+            mark_modified_words(&mut modified, Self::WORD, line.shadow, data);
+            modified.raw()
+        };
+        let old_flips = Self::flip_bits(line.state);
+        let ciphertext = engine.line_pad(addr, v.lctr()).xor(data);
+        let enc = fnw_encode(&ciphertext, line.stored, &old_flips, 16);
+        blend_marked_words(line.stored, &enc.stored, rewrite, Self::WORD);
+        let flips = blend(old_flips.raw(), enc.flip_bits.raw(), rewrite);
+        line.state.meta = modified.raw() | flips << 32;
         *line.shadow = *data;
         // Warm the next epoch's full-line pad while this write drains.
         prefill_next_epoch_pad(engine, addr, line.state.ctr.value(), self.counter_bits, self.epoch);
+        WriteOutcome::from_images(
+            old_image,
+            LineImage::new(*line.stored, MetaBits::from_raw(line.state.meta, 64)),
+            counter_flips,
+            epoch_started,
+        )
+    }
+
+    fn read(&self, engine: &OtpEngine, addr: LineAddr, line: LineRef<'_, DeuceFnwState>) -> LineBytes {
+        let v = VirtualCounterPair::derive(line.state.ctr.value(), self.epoch);
+        let (pad_lctr, pad_tctr) = engine.line_pad_pair(addr, v.lctr(), v.tctr());
+        dual_pad_read(
+            &fnw_decode(line.stored, &Self::flip_bits(line.state), 16),
+            &Self::modified_bits(line.state),
+            &pad_lctr,
+            &pad_tctr,
+            Self::WORD,
+        )
+    }
+
+    fn image(&self, line: LineRef<'_, DeuceFnwState>) -> LineImage {
+        LineImage::new(*line.stored, MetaBits::from_raw(line.state.meta, 64))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::tests::assert_matches_reference;
+    use crate::scheme::SchemeCell;
+    use crate::DeuceScheme;
+    use deuce_crypto::SecretKey;
+
+    fn engine() -> OtpEngine {
+        OtpEngine::new(&SecretKey::from_seed(31))
+    }
+
+    fn line(e: &OtpEngine, addr: u64, epoch: EpochInterval) -> SchemeCell<DeuceFnwScheme> {
+        let scheme = DeuceFnwScheme::new(epoch, 28);
+        SchemeCell::with_scheme(scheme, e, LineAddr::new(addr), &[0u8; 64])
+    }
+
+    const FLIP_BASE: u32 = 32;
+
+    /// The per-word FNW choice `DeuceFnwScheme::write` replaced: both
+    /// costs counted byte by byte, ties kept at the current flip bit.
+    fn store_word_fnw(stored: &mut LineBytes, meta: &mut MetaBits, word: usize, cipher: &[u8]) {
+        let w = DeuceFnwScheme::WORD.bytes();
+        let range = word * w..(word + 1) * w;
+        let flip_idx = FLIP_BASE + word as u32;
+        let old_flip = meta.get(flip_idx);
+        let mut normal = u32::from(old_flip);
+        let mut inverted = u32::from(!old_flip);
+        for (c, o) in cipher.iter().zip(&stored[range.clone()]) {
+            normal += (c ^ o).count_ones();
+            inverted += (!c ^ o).count_ones();
+        }
+        let invert = if inverted != normal { inverted < normal } else { old_flip };
+        for (dst, src) in stored[range].iter_mut().zip(cipher) {
+            *dst = if invert { !src } else { *src };
+        }
+        meta.set(flip_idx, invert);
+    }
+
+    /// The per-word byte loops `DeuceFnwScheme::write` replaced.
+    fn write_reference(
+        scheme: &DeuceFnwScheme,
+        engine: &OtpEngine,
+        addr: LineAddr,
+        line: LineMut<'_, DeuceFnwState>,
+        data: &LineBytes,
+    ) -> WriteOutcome {
+        let mut meta = MetaBits::from_raw(line.state.meta, 64);
+        let old_image = LineImage::new(*line.stored, meta);
+        let counter_flips = line.state.ctr.bump(scheme.counter_bits);
+        let v = VirtualCounterPair::derive(line.state.ctr.value(), scheme.epoch);
+        let w = DeuceFnwScheme::WORD.bytes();
+        let pad = engine.line_pad(addr, v.lctr());
+        let epoch_started = v.is_epoch_start();
+        if !epoch_started {
+            mark_modified_words(&mut meta, DeuceFnwScheme::WORD, line.shadow, data);
+        }
+        for word in 0..DeuceFnwScheme::WORD.words_per_line() {
+            if epoch_started {
+                meta.set(word as u32, false);
+            } else if !meta.get(word as u32) {
+                continue;
+            }
+            let mut cipher = [0u8; 8];
+            for (offset, i) in (word * w..(word + 1) * w).enumerate() {
+                cipher[offset] = data[i] ^ pad.word(word, w)[offset];
+            }
+            store_word_fnw(line.stored, &mut meta, word, &cipher[..w]);
+        }
+        line.state.meta = meta.raw();
+        *line.shadow = *data;
         WriteOutcome::from_images(
             old_image,
             LineImage::new(*line.stored, meta),
@@ -143,14 +223,20 @@ impl LineScheme for DeuceFnwScheme {
         )
     }
 
-    fn read(&self, engine: &OtpEngine, addr: LineAddr, line: LineRef<'_, DeuceFnwState>) -> LineBytes {
+    /// The per-word byte loop `DeuceFnwScheme::read` replaced.
+    fn read_reference(
+        scheme: &DeuceFnwScheme,
+        engine: &OtpEngine,
+        addr: LineAddr,
+        line: LineRef<'_, DeuceFnwState>,
+    ) -> LineBytes {
         let meta = MetaBits::from_raw(line.state.meta, 64);
-        let v = VirtualCounterPair::derive(line.state.ctr.value(), self.epoch);
+        let v = VirtualCounterPair::derive(line.state.ctr.value(), scheme.epoch);
         let (pad_lctr, pad_tctr) = engine.line_pad_pair(addr, v.lctr(), v.tctr());
-        let w = Self::WORD.bytes();
+        let w = DeuceFnwScheme::WORD.bytes();
         let mut out = [0u8; deuce_crypto::LINE_BYTES];
-        for word in 0..Self::WORD.words_per_line() {
-            let inverted = meta.get(Self::FLIP_BASE + word as u32);
+        for word in 0..DeuceFnwScheme::WORD.words_per_line() {
+            let inverted = meta.get(FLIP_BASE + word as u32);
             let pad = if meta.get(word as u32) {
                 pad_lctr.word(word, w)
             } else {
@@ -164,48 +250,22 @@ impl LineScheme for DeuceFnwScheme {
         out
     }
 
-    fn image(&self, line: LineRef<'_, DeuceFnwState>) -> LineImage {
-        LineImage::new(*line.stored, MetaBits::from_raw(line.state.meta, 64))
-    }
-}
-
-/// One memory line under DEUCE with dedicated FNW flip bits.
-pub type DeuceFnwLine = SchemeCell<DeuceFnwScheme>;
-
-impl DeuceFnwLine {
-    /// Initializes the line (full encryption at counter 0, nothing
-    /// inverted).
-    #[must_use]
-    pub fn new(
-        engine: &OtpEngine,
-        addr: LineAddr,
-        initial: &LineBytes,
-        epoch: EpochInterval,
-        counter_bits: u32,
-    ) -> Self {
-        Self::with_scheme(DeuceFnwScheme::new(epoch, counter_bits), engine, addr, initial)
-    }
-
-    /// Current counter value.
-    #[must_use]
-    pub fn counter(&self) -> u64 {
-        self.state().ctr.value()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use deuce_crypto::SecretKey;
-
-    fn engine() -> OtpEngine {
-        OtpEngine::new(&SecretKey::from_seed(31))
+    #[test]
+    fn matches_byte_loop_reference() {
+        for (epoch, counter_bits) in [(2, 28), (4, 3), (8, 28), (32, 28)] {
+            let epoch = EpochInterval::new(epoch).unwrap();
+            assert_matches_reference(
+                DeuceFnwScheme::new(epoch, counter_bits),
+                write_reference,
+                read_reference,
+            );
+        }
     }
 
     #[test]
     fn roundtrip_across_epochs() {
         let e = engine();
-        let mut l = DeuceFnwLine::new(&e, LineAddr::new(2), &[0u8; 64], EpochInterval::new(8).unwrap(), 28);
+        let mut l = line(&e, 2, EpochInterval::new(8).unwrap());
         for i in 0..40u8 {
             let mut data = [0u8; 64];
             data[usize::from(i % 16)] = i;
@@ -219,8 +279,9 @@ mod tests {
     fn never_worse_than_plain_deuce_on_average() {
         let e = engine();
         let epoch = EpochInterval::DEFAULT;
-        let mut plain = crate::DeuceLine::new(&e, LineAddr::new(3), &[0u8; 64], WordSize::Bytes2, epoch, 28);
-        let mut combo = DeuceFnwLine::new(&e, LineAddr::new(3), &[0u8; 64], epoch, 28);
+        let deuce = DeuceScheme::new(WordSize::Bytes2, epoch, 28);
+        let mut plain = SchemeCell::with_scheme(deuce, &e, LineAddr::new(3), &[0u8; 64]);
+        let mut combo = line(&e, 3, epoch);
         let mut plain_total = 0u64;
         let mut combo_total = 0u64;
         for i in 0..640u64 {
@@ -240,7 +301,7 @@ mod tests {
     #[test]
     fn sparse_write_touches_only_its_word() {
         let e = engine();
-        let mut l = DeuceFnwLine::new(&e, LineAddr::new(4), &[0u8; 64], EpochInterval::DEFAULT, 28);
+        let mut l = line(&e, 4, EpochInterval::DEFAULT);
         let mut data = [0u8; 64];
         data[10] = 0x80;
         let o = l.write(&e, &data);

@@ -17,7 +17,7 @@ use crate::core::{
     reencrypt_marked_words, CtrState,
 };
 use crate::fnw::{fnw_decode, fnw_encode};
-use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
+use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::WriteOutcome;
 
 /// Index of the mode bit within the 33-bit metadata (bits `0..32` are the
@@ -204,65 +204,23 @@ impl LineScheme for DynDeuceScheme {
     }
 }
 
-/// One memory line under DynDEUCE.
-///
-/// # Examples
-///
-/// ```
-/// use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
-/// use deuce_schemes::DynDeuceLine;
-///
-/// let engine = OtpEngine::new(&SecretKey::from_seed(0));
-/// let mut line = DynDeuceLine::new(&engine, LineAddr::new(0), &[0u8; 64], EpochInterval::DEFAULT, 28);
-/// let data = [0x5Au8; 64]; // dense write: every word changes
-/// let _ = line.write(&engine, &data);
-/// assert_eq!(line.read(&engine), data);
-/// ```
-pub type DynDeuceLine = SchemeCell<DynDeuceScheme>;
-
-impl DynDeuceLine {
-    /// Initializes the line (encrypted in full at counter 0, DEUCE mode).
-    #[must_use]
-    pub fn new(
-        engine: &OtpEngine,
-        addr: LineAddr,
-        initial: &LineBytes,
-        epoch: EpochInterval,
-        counter_bits: u32,
-    ) -> Self {
-        Self::with_scheme(DynDeuceScheme::new(epoch, counter_bits), engine, addr, initial)
-    }
-
-    /// Whether the line is currently in FNW mode.
-    #[must_use]
-    pub fn is_fnw_mode(&self) -> bool {
-        DynDeuceScheme::in_fnw_mode(self.state())
-    }
-
-    /// Current counter value.
-    #[must_use]
-    pub fn counter(&self) -> u64 {
-        self.state().ctr.value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeCell;
     use deuce_crypto::SecretKey;
 
     fn engine() -> OtpEngine {
         OtpEngine::new(&SecretKey::from_seed(21))
     }
 
-    fn new_line(e: &OtpEngine, epoch: u64) -> DynDeuceLine {
-        DynDeuceLine::new(
-            e,
-            LineAddr::new(5),
-            &[0u8; 64],
-            EpochInterval::new(epoch).unwrap(),
-            28,
-        )
+    fn new_line(e: &OtpEngine, epoch: u64) -> SchemeCell<DynDeuceScheme> {
+        let scheme = DynDeuceScheme::new(EpochInterval::new(epoch).unwrap(), 28);
+        SchemeCell::with_scheme(scheme, e, LineAddr::new(5), &[0u8; 64])
+    }
+
+    fn is_fnw_mode(l: &SchemeCell<DynDeuceScheme>) -> bool {
+        DynDeuceScheme::in_fnw_mode(l.state())
     }
 
     #[test]
@@ -273,7 +231,7 @@ mod tests {
             let mut data = [0u8; 64];
             data[0] = i;
             let _ = l.write(&e, &data);
-            assert!(!l.is_fnw_mode(), "write {i} should stay DEUCE");
+            assert!(!is_fnw_mode(&l), "write {i} should stay DEUCE");
             assert_eq!(l.read(&e), data);
         }
     }
@@ -290,7 +248,7 @@ mod tests {
             }
             let _ = l.write(&e, &data);
             assert_eq!(l.read(&e), data, "write {i}");
-            switched |= l.is_fnw_mode();
+            switched |= is_fnw_mode(&l);
         }
         assert!(switched, "dense writes should have triggered FNW mode");
     }
@@ -307,11 +265,11 @@ mod tests {
             }
             let _ = l.write(&e, &data);
         }
-        assert!(l.is_fnw_mode());
+        assert!(is_fnw_mode(&l));
         let data = [7u8; 64];
         let o = l.write(&e, &data); // 4th write: epoch start
         assert!(o.epoch_started);
-        assert!(!l.is_fnw_mode(), "epoch start returns to DEUCE mode");
+        assert!(!is_fnw_mode(&l), "epoch start returns to DEUCE mode");
         assert_eq!(l.read(&e), data);
     }
 
@@ -345,18 +303,18 @@ mod tests {
             *b = j as u8 ^ 0xA5;
         }
         let _ = l.write(&e, &data);
-        if !l.is_fnw_mode() {
+        if !is_fnw_mode(&l) {
             // One more dense write to be sure.
             for b in data.iter_mut() {
                 *b = b.wrapping_add(0x33);
             }
             let _ = l.write(&e, &data);
         }
-        assert!(l.is_fnw_mode());
+        assert!(is_fnw_mode(&l));
         // A sparse write now does NOT switch back (until epoch).
         data[0] ^= 1;
         let _ = l.write(&e, &data);
-        assert!(l.is_fnw_mode(), "mode switch back mid-epoch is impossible");
+        assert!(is_fnw_mode(&l), "mode switch back mid-epoch is impossible");
         assert_eq!(l.read(&e), data);
     }
 }

@@ -12,10 +12,8 @@
 use deuce_crypto::{LineAddr, LineBytes, OtpEngine, LINE_BYTES};
 use deuce_nvm::{LineImage, MetaBits};
 
-use crate::core::{
-    assert_counter_width, from_lanes, lanes, null_addr, null_engine, CtrState, LaneWords, LANES,
-};
-use crate::scheme::{LineMut, LineRef, LineScheme, SchemeCell};
+use crate::core::{assert_counter_width, from_lanes, lanes, CtrState, LaneWords, LANES};
+use crate::scheme::{LineMut, LineRef, LineScheme};
 use crate::WriteOutcome;
 
 /// The chosen FNW encoding of a full line.
@@ -108,16 +106,6 @@ pub fn fnw_decode(stored: &LineBytes, flip_bits: &MetaBits, segment_bits: u32) -
     apply_flips(stored, flip_bits.raw(), segment_bits)
 }
 
-/// Decodes a single stored segment given its flip bit (helper for
-/// word-granularity consumers).
-#[must_use]
-pub fn fnw_decode_segment(stored: &[u8], inverted: bool) -> Vec<u8> {
-    stored
-        .iter()
-        .map(|&b| if inverted { !b } else { b })
-        .collect()
-}
-
 /// Per-line FNW state: the raw per-segment flip bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FnwState {
@@ -182,46 +170,6 @@ impl LineScheme for UnencryptedFnwScheme {
 
     fn image(&self, line: LineRef<'_, FnwState>) -> LineImage {
         LineImage::new(*line.stored, MetaBits::from_raw(line.state.flip_bits, self.segments()))
-    }
-}
-
-/// Plaintext memory with Flip-N-Write, under the historical engine-less
-/// `write`/`read` API.
-#[derive(Debug, Clone)]
-pub struct UnencryptedFnwLine {
-    cell: SchemeCell<UnencryptedFnwScheme>,
-}
-
-impl UnencryptedFnwLine {
-    /// Initializes the line holding `initial` (stored un-inverted).
-    #[must_use]
-    pub fn new(initial: &LineBytes, segment_bits: u32) -> Self {
-        Self {
-            cell: SchemeCell::with_scheme(
-                UnencryptedFnwScheme::new(segment_bits),
-                null_engine(),
-                null_addr(),
-                initial,
-            ),
-        }
-    }
-
-    /// Writes new data, FNW-encoded.
-    #[must_use]
-    pub fn write(&mut self, data: &LineBytes) -> WriteOutcome {
-        self.cell.write(null_engine(), data)
-    }
-
-    /// Reads the logical line value.
-    #[must_use]
-    pub fn read(&self) -> LineBytes {
-        self.cell.read(null_engine())
-    }
-
-    /// The current stored image.
-    #[must_use]
-    pub fn image(&self) -> LineImage {
-        self.cell.image()
     }
 }
 
@@ -325,33 +273,11 @@ impl LineScheme for EncryptedFnwScheme {
     }
 }
 
-/// One memory line under counter-mode encryption with FNW.
-pub type EncryptedFnwLine = SchemeCell<EncryptedFnwScheme>;
-
-impl EncryptedFnwLine {
-    /// Initializes the line: `initial` is encrypted at counter 0 and
-    /// stored un-inverted.
-    #[must_use]
-    pub fn new(
-        engine: &OtpEngine,
-        addr: LineAddr,
-        initial: &LineBytes,
-        segment_bits: u32,
-        counter_bits: u32,
-    ) -> Self {
-        Self::with_scheme(
-            EncryptedFnwScheme::new(segment_bits, counter_bits),
-            engine,
-            addr,
-            initial,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::core::tests::line_pair;
+    use crate::scheme::SchemeCell;
     use deuce_crypto::{LineAddr, OtpEngine, SecretKey};
     use deuce_rng::{DeuceRng, Rng};
 
@@ -470,29 +396,43 @@ mod tests {
         }
     }
 
+    fn unencrypted_line(
+        engine: &OtpEngine,
+        initial: &LineBytes,
+    ) -> SchemeCell<UnencryptedFnwScheme> {
+        SchemeCell::with_scheme(UnencryptedFnwScheme::new(16), engine, LineAddr::new(0), initial)
+    }
+
+    fn encrypted_line(engine: &OtpEngine, addr: u64) -> SchemeCell<EncryptedFnwScheme> {
+        let scheme = EncryptedFnwScheme::new(16, 28);
+        SchemeCell::with_scheme(scheme, engine, LineAddr::new(addr), &[0u8; LINE_BYTES])
+    }
+
     #[test]
     fn unencrypted_fnw_line_roundtrip() {
-        let mut line = UnencryptedFnwLine::new(&[0u8; LINE_BYTES], 16);
+        let engine = OtpEngine::new(&SecretKey::from_seed(1));
+        let mut line = unencrypted_line(&engine, &[0u8; LINE_BYTES]);
         let mut data = [0u8; LINE_BYTES];
         data[5] = 0x12;
-        let outcome = line.write(&data);
-        assert_eq!(line.read(), data);
+        let outcome = line.write(&engine, &data);
+        assert_eq!(line.read(&engine), data);
         assert!(outcome.flips.total() <= 3); // two data bits + maybe flip bit
     }
 
     #[test]
     fn unencrypted_fnw_prefers_inversion_for_dense_changes() {
-        let mut line = UnencryptedFnwLine::new(&[0x00u8; LINE_BYTES], 16);
-        let outcome = line.write(&[0xFFu8; LINE_BYTES]);
+        let engine = OtpEngine::new(&SecretKey::from_seed(2));
+        let mut line = unencrypted_line(&engine, &[0x00u8; LINE_BYTES]);
+        let outcome = line.write(&engine, &[0xFFu8; LINE_BYTES]);
         // Storing inverted: data unchanged, only 32 flip bits change.
         assert_eq!(outcome.flips.total(), 32);
-        assert_eq!(line.read(), [0xFFu8; LINE_BYTES]);
+        assert_eq!(line.read(&engine), [0xFFu8; LINE_BYTES]);
     }
 
     #[test]
     fn encrypted_fnw_roundtrip_many_writes() {
         let engine = OtpEngine::new(&SecretKey::from_seed(3));
-        let mut line = EncryptedFnwLine::new(&engine, LineAddr::new(9), &[0u8; LINE_BYTES], 16, 28);
+        let mut line = encrypted_line(&engine, 9);
         for i in 0..50u8 {
             let mut data = [i; LINE_BYTES];
             data[0] = i.wrapping_mul(3);
@@ -504,7 +444,7 @@ mod tests {
     #[test]
     fn encrypted_fnw_flips_near_43_percent() {
         let engine = OtpEngine::new(&SecretKey::from_seed(11));
-        let mut line = EncryptedFnwLine::new(&engine, LineAddr::new(1), &[0u8; LINE_BYTES], 16, 28);
+        let mut line = encrypted_line(&engine, 1);
         let mut total = 0u64;
         let writes = 2000u64;
         for i in 0..writes {
@@ -516,11 +456,5 @@ mod tests {
         // Theory: per 16-bit segment E[min(X, 17-X)] with X~B(16,1/2) plus
         // flip-bit accounting ~ 6.84 bits -> ~42.7% of 512.
         assert!((rate - 0.427).abs() < 0.02, "encrypted FNW flip rate {rate}");
-    }
-
-    #[test]
-    fn segment_decode_helper() {
-        assert_eq!(fnw_decode_segment(&[0x0F, 0xF0], true), vec![0xF0, 0x0F]);
-        assert_eq!(fnw_decode_segment(&[0x0F, 0xF0], false), vec![0x0F, 0xF0]);
     }
 }

@@ -16,11 +16,17 @@
 //! | DEUCE+FNW | §4.6 | 64 | 20.3% |
 //! | BLE+DEUCE | §7.1 | 32 (+4 counters) | 19.9% |
 //!
+//! The four DEUCE variants share one policy core (`core.rs`): a word
+//! mask of modified words, one masked re-encryption per write, and one
+//! dual-pad read, all over eight `u64` lanes.
+//!
 //! Every scheme is driven through the same interface: a small `Copy`
 //! parameter struct implementing [`LineScheme`] plus a compact per-line
-//! state. Single lines live in a [`SchemeCell`] (of which [`SchemeLine`]
-//! is the runtime-dispatched flavour); whole memories live in an
-//! arena-backed [`LineStore`]. Writes return a [`WriteOutcome`] carrying
+//! state. A single line is a [`SchemeCell`], built from a parameter
+//! struct with [`SchemeCell::with_scheme`] or from a [`SchemeConfig`] as
+//! a [`SchemeLine`] (the runtime-dispatched flavour); its counters and
+//! metadata are read through [`SchemeCell::state`]. Whole memories live
+//! in an arena-backed [`LineStore`]. Writes return a [`WriteOutcome`] carrying
 //! the exact old/new stored images — from which bit flips, write slots,
 //! energy, and wear all derive.
 //!
@@ -62,17 +68,16 @@ mod outcome;
 mod scheme;
 mod store;
 
-pub use addr_pad::{AddrPadLine, AddrPadScheme};
-pub use ble::{BleDeuceLine, BleDeuceScheme, BleDeuceState, BleLine, BleScheme, BleState};
+pub use addr_pad::AddrPadScheme;
+pub use ble::{BleDeuceScheme, BleDeuceState, BleScheme, BleState};
 pub use config::{SchemeConfig, SchemeKind, WordSize};
 pub use self::core::CtrState;
-pub use dcw::{EncryptedDcwLine, EncryptedDcwScheme, UnencryptedDcwLine, UnencryptedDcwScheme};
-pub use deuce::{DeuceLine, DeuceScheme, DeuceState};
-pub use deuce_fnw::{DeuceFnwLine, DeuceFnwScheme, DeuceFnwState};
-pub use dyn_deuce::{DynDeuceLine, DynDeuceScheme, DynDeuceState};
+pub use dcw::{EncryptedDcwScheme, UnencryptedDcwScheme};
+pub use deuce::{DeuceScheme, DeuceState};
+pub use deuce_fnw::{DeuceFnwScheme, DeuceFnwState};
+pub use dyn_deuce::{DynDeuceScheme, DynDeuceState};
 pub use fnw::{
-    fnw_decode_segment, fnw_encode, EncryptedFnwLine, EncryptedFnwScheme, EncryptedFnwState,
-    FnwEncoding, FnwState, UnencryptedFnwLine, UnencryptedFnwScheme,
+    fnw_encode, EncryptedFnwScheme, EncryptedFnwState, FnwEncoding, FnwState, UnencryptedFnwScheme,
 };
 pub use line::{AnyScheme, AnyState, SchemeLine};
 pub use outcome::WriteOutcome;

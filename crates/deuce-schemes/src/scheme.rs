@@ -87,9 +87,11 @@ pub trait LineScheme {
 /// One self-contained memory line under a scheme `S`: owns the stored
 /// bytes, the shadow, and the per-line state.
 ///
-/// The concrete line types ([`crate::DeuceLine`], [`crate::BleLine`],
-/// …) are aliases of this with scheme-specific constructors, and
-/// [`crate::SchemeLine`] is `SchemeCell<AnyScheme>`.
+/// This is the one way to hold a single line: build it from a concrete
+/// scheme with [`SchemeCell::with_scheme`], or from a runtime
+/// [`crate::SchemeConfig`] as a [`crate::SchemeLine`]
+/// (`SchemeCell<AnyScheme>`), and read its counters and metadata
+/// through [`SchemeCell::state`].
 ///
 /// # Examples
 ///

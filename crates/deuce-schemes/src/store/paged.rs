@@ -47,7 +47,8 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use deuce_crypto::{LineBytes, LINE_BYTES};
@@ -305,11 +306,7 @@ where
             fp = (fp ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
         let offset = self.layout.page_offset(page);
-        let outcome = self
-            .file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.write_all(&self.buf));
-        if let Err(err) = outcome {
+        if let Err(err) = self.file.write_all_at(&self.buf, offset) {
             self.note_error("page write-back failed", &err);
             return;
         }
@@ -322,11 +319,7 @@ where
         let disk = self.layout.page_disk_bytes();
         self.buf.resize(disk, 0);
         let offset = self.layout.page_offset(page);
-        let outcome = self
-            .file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.read_exact(&mut self.buf));
-        if let Err(err) = outcome {
+        if let Err(err) = self.file.read_exact_at(&mut self.buf, offset) {
             self.note_error("page load failed", &err);
             return Self::fresh_page(&self.layout);
         }

@@ -8,19 +8,24 @@
 //! re-encrypts and no mixed-counter state is left behind).
 
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
-use deuce_schemes::{DeuceLine, EncryptedDcwLine, WordSize};
+use deuce_schemes::{DeuceScheme, EncryptedDcwScheme, SchemeCell, WordSize};
 
 #[test]
 fn encrypted_dcw_survives_counter_wrap() {
     let engine = OtpEngine::new(&SecretKey::from_seed(1));
     // 3-bit counter wraps every 8 writes.
-    let mut line = EncryptedDcwLine::new(&engine, LineAddr::new(5), &[0u8; 64], 3);
+    let mut line = SchemeCell::with_scheme(
+        EncryptedDcwScheme::new(3),
+        &engine,
+        LineAddr::new(5),
+        &[0u8; 64],
+    );
     for i in 1..=20u8 {
         let data = [i; 64];
         let _ = line.write(&engine, &data);
-        assert_eq!(line.read(&engine), data, "write {i} (counter {})", line.counter());
+        assert_eq!(line.read(&engine), data, "write {i} (counter {})", line.state().value());
     }
-    assert_eq!(line.counter(), 20 % 8);
+    assert_eq!(line.state().value(), 20 % 8);
 }
 
 #[test]
@@ -29,13 +34,11 @@ fn deuce_wrap_lands_on_an_epoch_start() {
     // 4-bit counter (wraps at 16) with epoch 4: 16 % 4 == 0, so the
     // wrap coincides with a full re-encryption and all modified bits
     // clear — no word is left decrypting against a stale counter.
-    let mut line = DeuceLine::new(
+    let mut line = SchemeCell::with_scheme(
+        DeuceScheme::new(WordSize::Bytes2, EpochInterval::new(4).unwrap(), 4),
         &engine,
         LineAddr::new(9),
         &[0u8; 64],
-        WordSize::Bytes2,
-        EpochInterval::new(4).unwrap(),
-        4,
     );
     let mut data = [0u8; 64];
     let mut wrap_was_epoch = false;
@@ -43,10 +46,10 @@ fn deuce_wrap_lands_on_an_epoch_start() {
         data[0] = i as u8;
         data[13] = (i * 7) as u8;
         let outcome = line.write(&engine, &data);
-        if line.counter() == 0 {
+        if line.state().ctr.value() == 0 {
             wrap_was_epoch = true;
             assert!(outcome.epoch_started, "wrap must be a full re-encryption");
-            assert_eq!(line.modified_words(), 0);
+            assert_eq!(line.state().modified.count_ones(), 0);
         }
         assert_eq!(line.read(&engine), data, "write {i}");
     }
@@ -60,7 +63,12 @@ fn deuce_wrap_lands_on_an_epoch_start() {
 #[test]
 fn wrap_reuses_pads_hence_rekey_requirement() {
     let engine = OtpEngine::new(&SecretKey::from_seed(3));
-    let mut line = EncryptedDcwLine::new(&engine, LineAddr::new(1), &[0u8; 64], 2);
+    let mut line = SchemeCell::with_scheme(
+        EncryptedDcwScheme::new(2),
+        &engine,
+        LineAddr::new(1),
+        &[0u8; 64],
+    );
     let data = [0xABu8; 64];
     let mut images = Vec::new();
     for _ in 0..8 {

@@ -7,7 +7,7 @@
 
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
 use deuce_rng::{DeuceRng, Rng};
-use deuce_schemes::{DeuceLine, SchemeConfig, SchemeKind, WordSize};
+use deuce_schemes::{DeuceScheme, SchemeCell, SchemeConfig, SchemeKind, WordSize};
 
 const WORDS: usize = 32;
 const WORD_BYTES: usize = 2;
@@ -74,13 +74,11 @@ fn deuce_matches_per_word_counter_oracle() {
         let engine = OtpEngine::new(&SecretKey::from_seed(seed));
         let addr = LineAddr::new(seed % 512);
         let mut oracle = PerWordCounterLine::new(&engine, addr, &initial);
-        let mut deuce = DeuceLine::new(
+        let mut deuce = SchemeCell::with_scheme(
+            DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28),
             &engine,
             addr,
             &initial,
-            WordSize::Bytes2,
-            EpochInterval::DEFAULT,
-            28,
         );
         let mut data = initial;
         let writes = rng.gen_range(1usize..30);
@@ -107,13 +105,11 @@ fn deuce_pays_footprint_carryover_vs_oracle() {
     let engine = OtpEngine::new(&SecretKey::from_seed(42));
     let addr = LineAddr::new(7);
     let mut oracle = PerWordCounterLine::new(&engine, addr, &[0u8; 64]);
-    let mut deuce = DeuceLine::new(
+    let mut deuce = SchemeCell::with_scheme(
+        DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28),
         &engine,
         addr,
         &[0u8; 64],
-        WordSize::Bytes2,
-        EpochInterval::DEFAULT,
-        28,
     );
 
     let mut oracle_flips = 0u64;

@@ -3,7 +3,7 @@
 
 use deuce_crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
 use deuce_rng::{DeuceRng, Rng, RngCore};
-use deuce_schemes::{DeuceLine, SchemeConfig, SchemeKind, SchemeLine, WordSize};
+use deuce_schemes::{DeuceScheme, SchemeCell, SchemeConfig, SchemeKind, SchemeLine, WordSize};
 
 fn pick_scheme<R: RngCore>(rng: &mut R) -> SchemeKind {
     SchemeKind::ALL[rng.gen_range(0..SchemeKind::ALL.len())]
@@ -103,13 +103,11 @@ fn deuce_untouched_words_are_frozen() {
     for _ in 0..64 {
         let seed: u64 = rng.gen();
         let engine = OtpEngine::new(&SecretKey::from_seed(seed));
-        let mut line = DeuceLine::new(
+        let mut line = SchemeCell::with_scheme(
+            DeuceScheme::new(WordSize::Bytes2, EpochInterval::new(64).unwrap(), 28),
             &engine,
             LineAddr::new(9),
             &[0u8; 64],
-            WordSize::Bytes2,
-            EpochInterval::new(64).unwrap(),
-            28,
         );
         // Confine updates to words 0..8; words 8..32 must stay frozen
         // until the first epoch boundary (write 64, beyond this run).
@@ -137,13 +135,11 @@ fn epoch_start_frequency() {
         let epoch_log2 = rng.gen_range(2u32..6);
         let engine = OtpEngine::new(&SecretKey::from_seed(5));
         let epoch = 1u64 << epoch_log2;
-        let mut line = DeuceLine::new(
+        let mut line = SchemeCell::with_scheme(
+            DeuceScheme::new(WordSize::Bytes2, EpochInterval::new(epoch).unwrap(), 28),
             &engine,
             LineAddr::new(2),
             &[0u8; 64],
-            WordSize::Bytes2,
-            EpochInterval::new(epoch).unwrap(),
-            28,
         );
         let mut observed = 0u64;
         let mut data = [0u8; 64];

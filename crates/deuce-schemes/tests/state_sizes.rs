@@ -9,10 +9,10 @@
 use core::mem::size_of;
 
 use deuce_schemes::{
-    AnyScheme, AnyState, BleDeuceState, BleState, CtrState, DeuceFnwState, DeuceLine, DeuceState,
-    DynDeuceState, EncryptedDcwLine, EncryptedFnwState, FilePageBackend, FnwState, LineScheme,
-    LineStore, PageBackend, PageHeader, SchemeConfig, SchemeKind, SchemeLine, StateCodec,
-    SLOTS_PER_PAGE,
+    AnyScheme, AnyState, BleDeuceState, BleState, CtrState, DeuceFnwState, DeuceScheme, DeuceState,
+    DynDeuceState, EncryptedDcwScheme, EncryptedFnwState, FilePageBackend, FnwState, LineScheme,
+    LineStore, PageBackend, PageHeader, SchemeCell, SchemeConfig, SchemeKind, SchemeLine,
+    StateCodec, SLOTS_PER_PAGE,
 };
 
 #[test]
@@ -36,8 +36,16 @@ fn per_line_states_stay_compact() {
 fn cell_and_dispatch_sizes_stay_pinned() {
     assert_eq!(size_of::<AnyScheme>(), 32, "runtime scheme descriptor");
     assert_eq!(size_of::<SchemeLine>(), 216, "dyn cell: descriptor + addr + 2x64B + AnyState");
-    assert_eq!(size_of::<DeuceLine>(), 168, "mono cell: params + addr + 2x64B + DeuceState");
-    assert_eq!(size_of::<EncryptedDcwLine>(), 152, "shadow is stored but state is 8B");
+    assert_eq!(
+        size_of::<SchemeCell<DeuceScheme>>(),
+        168,
+        "mono cell: params + addr + 2x64B + DeuceState"
+    );
+    assert_eq!(
+        size_of::<SchemeCell<EncryptedDcwScheme>>(),
+        152,
+        "shadow is stored but state is 8B"
+    );
 }
 
 /// The arena's per-line accounting must agree with the actual component

@@ -356,30 +356,18 @@ where
         ))
     }
 
-    /// Dispatches on the configured store backend, so the streaming
-    /// loop below monomorphises per backend and the arena path stays
-    /// exactly the historical code.
+    /// Unwraps the configured store backend, so the streaming loop
+    /// below monomorphises per backend and the arena path stays exactly
+    /// the historical code.
     fn drive<Src: WriteSource + ?Sized, R: Recorder>(
         &self,
         source: &mut Src,
         rec: &mut R,
         plan: CheckpointPlan<'_>,
     ) -> Result<SimResult, RunError> {
-        match &self.config.store {
-            StoreBackend::Arena => {
-                self.drive_with(source, rec, plan, ArenaBackend::new(self.scheme.needs_shadow()))
-            }
-            StoreBackend::File(file) => {
-                let backend = FilePageBackend::create(
-                    &file.path,
-                    file.resident_pages,
-                    self.scheme.needs_shadow(),
-                )
-                .map_err(|e| {
-                    RunError::Store(format!("create page file {}: {e}", file.path.display()))
-                })?;
-                self.drive_with(source, rec, plan, backend)
-            }
+        match self.session_backend()? {
+            SessionBackend::Arena(backend) => self.drive_with(source, rec, plan, backend),
+            SessionBackend::File(backend) => self.drive_with(source, rec, plan, backend),
         }
     }
 

@@ -43,6 +43,18 @@ fn variants() -> Vec<(&'static str, SchemeConfig)> {
                         .with_word_size(WordSize::Bytes4)
                         .with_epoch(EpochInterval::new(8).expect("power of two")),
                 ),
+                (
+                    "w1e4",
+                    SchemeConfig::new(kind)
+                        .with_word_size(WordSize::Bytes1)
+                        .with_epoch(EpochInterval::new(4).expect("power of two")),
+                ),
+                (
+                    "w8e16",
+                    SchemeConfig::new(kind)
+                        .with_word_size(WordSize::Bytes8)
+                        .with_epoch(EpochInterval::new(16).expect("power of two")),
+                ),
             ]
         })
         .collect()

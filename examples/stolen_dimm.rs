@@ -2,6 +2,10 @@
 //! under each memory configuration, and how the integrity layer stops
 //! the bus-tampering escalation.
 //!
+//! Each line is a `SchemeCell`: built from a scheme's parameter struct
+//! with `SchemeCell::with_scheme`, or from a `SchemeConfig` as a
+//! `SchemeLine`.
+//!
 //! ```text
 //! cargo run --release --example stolen_dimm
 //! ```
@@ -9,7 +13,8 @@
 use deuce::crypto::{LineAddr, OtpEngine, SecretKey};
 use deuce::integrity::{CounterTree, LineMac};
 use deuce::schemes::{
-    AddrPadLine, DeuceLine, EpochInterval, SchemeConfig, SchemeKind, SchemeLine, WordSize,
+    AddrPadScheme, DeuceScheme, EpochInterval, SchemeCell, SchemeConfig, SchemeKind, SchemeLine,
+    WordSize,
 };
 
 fn secret_line() -> [u8; 64] {
@@ -47,7 +52,12 @@ fn main() {
     println!("== Attack 2: bus snooping (adversary watches consecutive writebacks) ==\n");
     // AddrPad reuses its pad, so XOR of two ciphertexts = XOR of
     // plaintexts: the snooper learns exactly which bytes changed and how.
-    let mut addr_pad = AddrPadLine::new(&engine, LineAddr::new(0x200), &secret);
+    let mut addr_pad = SchemeCell::with_scheme(
+        AddrPadScheme,
+        &engine,
+        LineAddr::new(0x200),
+        &secret,
+    );
     let ct1 = *addr_pad.image().data();
     let mut update = secret;
     update[24..28].copy_from_slice(b"HIV+");
@@ -60,13 +70,11 @@ fn main() {
     );
 
     // DEUCE's counters give every write a fresh pad: the XOR is noise.
-    let mut deuce = DeuceLine::new(
+    let mut deuce = SchemeCell::with_scheme(
+        DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28),
         &engine,
         LineAddr::new(0x300),
         &secret,
-        WordSize::Bytes2,
-        EpochInterval::DEFAULT,
-        28,
     );
     let ct1 = *deuce.image().data();
     let _ = deuce.write(&engine, &update);

@@ -56,6 +56,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 echo "==> hot_paths bench smoke (one untimed iteration per benchmark)"
 DEUCE_BENCH_SMOKE=1 cargo bench -q --offline -p deuce-bench --bench hot_paths > /dev/null
 
+echo "==> perfbench tests (the benchmark package against the current public API)"
+# perfbench is a standalone package that uses only the crates' public
+# API: a deletion it depends on fails here, not first in a benchmark run.
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke test (deterministic report vs golden)"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use deuce::crypto::{EpochInterval, LineAddr, OtpEngine, SecretKey};
 use deuce::integrity::{CounterTree, LineMac};
-use deuce::schemes::{DeuceLine, SchemeConfig, SchemeKind, SchemeLine, WordSize};
+use deuce::schemes::{DeuceScheme, SchemeCell, SchemeConfig, SchemeKind, SchemeLine, WordSize};
 
 fn engine() -> OtpEngine {
     OtpEngine::new(&SecretKey::from_seed(0x0005_ECDE))
@@ -53,13 +53,11 @@ fn data_at_rest_is_unrecognizable() {
 #[test]
 fn deuce_ciphertext_deltas_are_keystream() {
     let engine = engine();
-    let mut line = DeuceLine::new(
+    let mut line = SchemeCell::with_scheme(
+        DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28),
         &engine,
         LineAddr::new(0xF00),
         &[0u8; 64],
-        WordSize::Bytes2,
-        EpochInterval::DEFAULT,
-        28,
     );
     // Apply the *same plaintext delta* twice; if pads were reused, the
     // ciphertext deltas would repeat.
@@ -84,13 +82,11 @@ fn deuce_ciphertext_deltas_are_keystream() {
 #[test]
 fn deuce_leaks_only_the_modified_word_positions() {
     let engine = engine();
-    let mut line = DeuceLine::new(
+    let mut line = SchemeCell::with_scheme(
+        DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28),
         &engine,
         LineAddr::new(0xF01),
         &[0u8; 64],
-        WordSize::Bytes2,
-        EpochInterval::DEFAULT,
-        28,
     );
     let mut data = [0u8; 64];
     data[20] = 9; // word 10
@@ -126,13 +122,11 @@ fn integrity_layer_covers_deuce_counters() {
     let mut tree = CounterTree::new(16, [0xA0; 16]);
     let mac = LineMac::new([0xB0; 16]);
     let addr = LineAddr::new(3);
-    let mut line = DeuceLine::new(
+    let mut line = SchemeCell::with_scheme(
+        DeuceScheme::new(WordSize::Bytes2, EpochInterval::DEFAULT, 28),
         &engine,
         addr,
         &[0u8; 64],
-        WordSize::Bytes2,
-        EpochInterval::DEFAULT,
-        28,
     );
 
     let mut tags = Vec::new();
@@ -141,20 +135,20 @@ fn integrity_layer_covers_deuce_counters() {
     for i in 1..=5u8 {
         data[0] = i;
         let _ = line.write(&engine, &data);
-        tree.update(3, line.counter());
-        tags.push(mac.tag(addr, line.counter(), line.image().data()));
+        tree.update(3, line.state().ctr.value());
+        tags.push(mac.tag(addr, line.state().ctr.value(), line.image().data()));
         images.push(*line.image().data());
     }
 
     // Current state verifies.
-    assert!(tree.verify(3, line.counter()).is_ok());
-    assert!(mac.check(addr, line.counter(), line.image().data(), tags.last().unwrap()));
+    assert!(tree.verify(3, line.state().ctr.value()).is_ok());
+    assert!(mac.check(addr, line.state().ctr.value(), line.image().data(), tags.last().unwrap()));
 
     // Replay of any earlier (counter, data, tag) triple fails somewhere.
     for (i, image) in images.iter().enumerate().take(4) {
         let old_counter = i as u64 + 1;
         let rollback_caught = tree.verify(3, old_counter).is_err();
-        let splice_caught = !mac.check(addr, line.counter(), image, tags.last().unwrap());
+        let splice_caught = !mac.check(addr, line.state().ctr.value(), image, tags.last().unwrap());
         assert!(
             rollback_caught && splice_caught,
             "replay of write {i} not fully detected"
